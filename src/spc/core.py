@@ -77,7 +77,8 @@ def normalize(raw) -> np.ndarray:
 
 def check_unit(vec: np.ndarray, tol: float = UNIT_NORM_TOL) -> None:
     norm = float(np.linalg.norm(np.asarray(vec, dtype=np.float64)))
-    if abs(norm - 1.0) > tol:
+    # written so that a NaN norm fails too
+    if not abs(norm - 1.0) <= tol:
         raise NormalizationError(f"vector norm {norm!r} is not 1 within {tol}")
 
 

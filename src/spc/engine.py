@@ -115,8 +115,6 @@ def _aggregate_scores(dots_u, cls_u, dots_m, ids_m):
     """Per-class max of user dots plus prototype dots, absent classes 0.
 
     Returns (candidate ids, user score, proto score, user-presence flags).
-    Shared by the per-call path below and the batched stream evaluator so
-    both aggregate scores identically.
     """
     n_user = 0 if dots_u is None else len(dots_u)
     n_proto = 0 if dots_m is None else len(dots_m)
@@ -229,7 +227,11 @@ class MeanState:
                      counts as a single sample).
 
     The accumulator stays raw in float64; the exposed prototype is
-    normalize(accumulator / count), renormalized at read time only.
+    normalize(accumulator / count), renormalized at read time only. The
+    exposed prototypes are one matrix with a row per class in class-id
+    order. A new class inserts its row in place rather than appending it:
+    a matrix product's rounding depends on each row's position, and id
+    order keeps every score independent of the order classes arrived in.
     """
 
     FULL_HISTORY = "full-history"
@@ -239,7 +241,8 @@ class MeanState:
         self.dim = dim
         self._acc: dict[int, np.ndarray] = {}
         self._count: dict[int, int] = {}
-        self._exposed: dict[int, np.ndarray] = {}
+        self._ids = np.empty(0, dtype=np.int64)
+        self._exposed = np.empty((0, dim))
 
     @classmethod
     def from_prototypes(cls, protos: PrototypeSet, mode: str) -> "MeanState":
@@ -258,15 +261,20 @@ class MeanState:
             vec = protos.matrix64[i]
             state._acc[c] = vec * count
             state._count[c] = count
-            state._expose(c)
+        state._ids = np.sort(protos.class_ids)
+        state._exposed = np.stack([state._mean(int(c)) for c in state._ids]) \
+            if len(state._ids) else state._exposed
         return state
 
-    def _expose(self, class_id: int) -> None:
+    def _mean(self, class_id: int) -> np.ndarray:
         mean = self._acc[class_id] / self._count[class_id]
         norm = np.linalg.norm(mean)
         if norm == 0.0:
             raise SpcError(f"mean of class {class_id} cancelled to zero")
-        self._exposed[class_id] = mean / norm
+        return mean / norm
+
+    def _row(self, class_id: int) -> int:
+        return int(np.searchsorted(self._ids, class_id))
 
     def update(self, vec, class_id: int) -> "MeanState":
         v = np.asarray(vec, dtype=np.float64)
@@ -278,29 +286,33 @@ class MeanState:
         if class_id in self._acc:
             self._acc[class_id] = self._acc[class_id] + v
             self._count[class_id] += 1
+            self._exposed[self._row(class_id)] = self._mean(class_id)
         else:
             self._acc[class_id] = v.copy()
             self._count[class_id] = 1
-        self._expose(class_id)
+            row = self._row(class_id)
+            self._ids = np.insert(self._ids, row, class_id)
+            self._exposed = np.insert(self._exposed, row,
+                                      self._mean(class_id), axis=0)
         return self
 
     def count(self, class_id: int) -> int:
         return self._count[class_id]
 
     def prototype(self, class_id: int) -> np.ndarray:
-        return self._exposed[class_id].copy()
+        if class_id not in self._acc:
+            raise KeyError(class_id)
+        return self._exposed[self._row(class_id)].copy()
 
     def rank(self, query, counter: DotCounter | None = None) -> Ranking:
-        if not self._exposed:
+        if not len(self._ids):
             raise SpcError("empty mean state")
         q = _query64(query, self.dim)
-        ids = np.fromiter(sorted(self._exposed), dtype=np.int64)
-        mat = np.stack([self._exposed[int(c)] for c in ids])
         if counter is not None:
-            counter.add(len(ids))
-        scores = mat @ q
-        flags = np.zeros(len(ids), dtype=bool)
-        return _sorted_ranking(ids, scores, flags)
+            counter.add(len(self._ids))
+        scores = self._exposed @ q
+        flags = np.zeros(len(self._ids), dtype=bool)
+        return _sorted_ranking(self._ids, scores, flags)
 
 
 def ncm_update(state: MeanState, vec, class_id: int) -> MeanState:

@@ -5,20 +5,31 @@ outcomes, and aggregate them into bucketed report tables.
 The harness itself tracks which classes a user has seen so far; the
 in-union flag therefore reflects the protocol's bookkeeping even for
 strategies that do not learn.
+
+The nearest-neighbor family (spc, spc-sum, 1nn, 1nn-star) is replayed by
+one whole-stream evaluator per user rather than step by step. Because the
+store at step t holds exactly records 1..t-1, the per-class similarities
+behind every score form three |U| x T arrays over the user's class union U
+and the steps: the prefix max of user similarities, the prototype
+similarities and the presence flags. None depends on w or w_s, so a
+strategy's scores are one elementwise combination of them, and the true
+class's rank position is a count rather than a sort. The Gram matrix is
+built GRAM_BLOCK query columns at a time, so memory is O(|U| T + B T)
+and no T x T array is allocated. The w and w_s sweeps and cross-validation
+build each user's arrays once and re-score them for every grid value.
+The mean baselines (ncm-fixed, ncm-incr) are replayed per step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import LabeledRecord, PrototypeSet, SpcError, UserStore
+from .core import UNIT_NORM_TOL, LabeledRecord, PrototypeSet, SpcError
 from .data_io import ReportTable
-from .engine import (DotCounter, MeanState, Ranking, SpcConfig, SumConfig,
-                     _aggregate_scores, _sorted_ranking, ncm_rank, spc_rank,
-                     spc_sum_rank)
+from .engine import DotCounter, MeanState, SpcConfig, SumConfig, ncm_rank
 
 STRATEGY_KINDS = ("spc", "spc-sum", "ncm-fixed", "ncm-incr", "1nn", "1nn-star")
 
@@ -80,88 +91,16 @@ def _check_contiguous(records: Sequence[LabeledRecord]) -> None:
                 f"(expected {i}, got {rec.t})")
 
 
-class _StrategyState:
-    """Mutable per-user state for one strategy replay."""
-
-    def __init__(self, strategy: Strategy, protos: PrototypeSet | None, dim: int):
-        self.strategy = strategy
-        self.protos = protos
-        kind = strategy.kind
-        if kind in ("ncm-fixed", "ncm-incr") and (protos is None or len(protos) == 0):
-            raise SpcError(f"strategy {kind} needs a non-empty prototype set")
-        self.store = UserStore(dim) if kind in ("spc", "spc-sum", "1nn",
-                                                "1nn-star") else None
-        self.means = (MeanState.from_prototypes(protos, strategy.mean_mode)
-                      if kind == "ncm-incr" else None)
-        if kind == "spc":
-            self.cfg = SpcConfig(strategy.w)
-        elif kind == "1nn":
-            self.cfg = SpcConfig(1.0)
-        elif kind == "spc-sum":
-            self.cfg = SumConfig(strategy.w_s)
-
-    def rank(self, query, counter: DotCounter | None) -> Ranking | None:
-        kind = self.strategy.kind
-        if kind in ("spc", "1nn"):
-            if len(self.store) == 0 and (self.protos is None or
-                                         len(self.protos) == 0):
-                return None
-            return spc_rank(query, self.store, self.protos, self.cfg, counter)
-        if kind == "1nn-star":
-            if len(self.store) == 0:
-                return None
-            return spc_rank(query, self.store, None, SpcConfig(1.0), counter)
-        if kind == "spc-sum":
-            if len(self.store) == 0 and (self.protos is None or
-                                         len(self.protos) == 0):
-                return None
-            return spc_sum_rank(query, self.store, self.protos, self.cfg,
-                                counter)
-        if kind == "ncm-fixed":
-            return ncm_rank(query, self.protos, counter)
-        return self.means.rank(query, counter)
-
-    def learn(self, rec: LabeledRecord) -> None:
-        if not self.strategy.learn:
-            return
-        if self.store is not None:
-            self.store.append(rec.vec, rec.class_id)
-        if self.means is not None:
-            self.means.update(rec.vec, rec.class_id)
+# Query columns of the Gram matrix are computed this many at a time, so a
+# replay holds O(B * T) Gram entries and never a T x T array.
+GRAM_BLOCK = 128
+# rank position of a true class that is not among the candidates
+MISS = np.iinfo(np.intp).max
 
 
-def _outcome(rec, ranking, k_list, max_k, initial, seen) -> Outcome:
-    if ranking is None:
-        hits = {k: False for k in k_list}
-        predicted = None
-    else:
-        top = ranking.class_ids[:max_k]
-        pos = np.flatnonzero(top == rec.class_id)
-        rank_pos = int(pos[0]) if len(pos) else max_k
-        hits = {k: rank_pos < k for k in k_list}
-        predicted = int(top[0])
-    return Outcome(
-        user=rec.user, t=rec.t, true_class=rec.class_id, hits=hits,
-        in_initial=rec.class_id in initial,
-        in_union=rec.class_id in initial or rec.class_id in seen,
-        predicted=predicted)
-
-
-def _run_nn_family(records, protos, strategy, k_list,
-                   counter) -> list[Outcome]:
-    """Batched replay for the nearest-neighbor-family strategies.
-
-    Under the predict-then-learn protocol the user store at step t holds
-    exactly records 1..t-1, so all query/store dot products are the strict
-    lower triangle of one Gram matrix and all prototype dot products are a
-    single matrix product. Scores aggregate through the same helper as the
-    per-call ranking functions.
-    """
+def _stack_queries(records) -> np.ndarray:
+    """The stream's vectors as one float64 matrix, each row checked unit."""
     dim = len(records[0].vec)
-    use_protos = strategy.kind != "1nn-star" and protos is not None \
-        and len(protos) > 0
-    if use_protos and protos.dim != dim:
-        raise SpcError(f"stream dim {dim} != prototype dim {protos.dim}")
     queries = np.empty((len(records), dim), dtype=np.float64)
     for i, rec in enumerate(records):
         v = np.asarray(rec.vec, dtype=np.float64)
@@ -169,47 +108,174 @@ def _run_nn_family(records, protos, strategy, k_list,
             raise SpcError(
                 f"user {rec.user!r} t={rec.t}: vector shape {v.shape}")
         queries[i] = v
-    norms = np.linalg.norm(queries, axis=1)
-    bad = np.flatnonzero(np.abs(norms - 1.0) > 1e-6)
+    # einsum forms no T x dim temporary of squares
+    norms = np.sqrt(np.einsum("ij,ij->i", queries, queries))
+    # written so that a NaN norm fails too
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))
     if len(bad):
         raise SpcError(f"record t={records[bad[0]].t} is not unit-normalized")
+    return queries
 
-    cls = np.fromiter((r.class_id for r in records), dtype=np.int64,
-                      count=len(records))
-    gram = queries @ queries.T if strategy.learn else None
-    proto_dots = protos.matrix64 @ queries.T if use_protos else None
 
-    if strategy.kind == "spc-sum":
-        w_user, w_proto = 1.0 - strategy.w_s, strategy.w_s
-        combine = lambda su, sm: w_user * su + w_proto * sm
-    elif not use_protos:
-        # no prototype side: raw user similarities (matches spc_rank)
-        combine = lambda su, sm: su
-    else:
-        w = strategy.w if strategy.kind == "spc" else 1.0
-        combine = lambda su, sm: np.maximum(su, w * sm)
+def _prefix_max(queries, rows, su) -> None:
+    """su[c, t] = max of queries[j] . queries[t] over j < t of class row c.
 
+    Entries with no such j are left as they are. Column blocks of the Gram
+    matrix are reduced per class with maximum.reduceat over the rows sorted
+    by class, with j >= t masked out.
+    """
+    T = len(queries)
+    order = np.argsort(rows, kind="stable")
+    for b0 in range(0, T, GRAM_BLOCK):
+        b1 = min(b0 + GRAM_BLOCK, T)
+        gram = queries[:b1] @ queries[b0:b1].T
+        gram[b0:][np.tri(b1 - b0, dtype=bool)] = -np.inf
+        sel = order[order < b1]
+        r = rows[sel]
+        starts = np.flatnonzero(np.diff(r, prepend=-1))
+        su[r[starts], b0:b1] = np.maximum.reduceat(gram[sel], starts, axis=0)
+
+
+def _upper_limit_flags(records, protos) -> tuple[np.ndarray, np.ndarray]:
+    """Per record: its class is an initial (prototype) class; its class is
+    initial or appeared earlier in the stream."""
     initial = protos.class_set if protos is not None else set()
-    seen: set[int] = set()
-    n_proto = len(protos) if use_protos else 0
-    ids_m = protos.class_ids if use_protos else None
-    max_k = max(k_list)
-    outcomes = []
-    for t, rec in enumerate(records):
-        n_user = t if strategy.learn else 0
-        if n_user == 0 and n_proto == 0:
-            ranking = None
-        else:
-            dots_u = gram[:t, t] if n_user else None
-            dots_m = proto_dots[:, t] if n_proto else None
-            cand, s_user, s_proto, flags = _aggregate_scores(
-                dots_u, cls[:t] if n_user else None, dots_m, ids_m)
-            ranking = _sorted_ranking(cand, combine(s_user, s_proto), flags)
-            if counter is not None:
-                counter.add(n_user + n_proto)
-        outcomes.append(_outcome(rec, ranking, k_list, max_k, initial, seen))
-        seen.add(rec.class_id)
-    return outcomes
+    cls = [rec.class_id for rec in records]
+    in_initial = np.array([c in initial for c in cls], dtype=bool)
+    _, first, inverse = np.unique(cls, return_index=True, return_inverse=True)
+    return in_initial, in_initial | (first[inverse] < np.arange(len(cls)))
+
+
+@dataclass
+class _UserHits:
+    """One user's per-record hits by k and upper-limit flags, in t order."""
+
+    hits: dict[int, np.ndarray]
+    in_initial: np.ndarray
+    in_union: np.ndarray
+
+
+class _ClassScores:
+    """Whole-stream evaluator for the nearest-neighbor family.
+
+    Under predict-then-learn the user store at step t holds exactly records
+    1..t-1, so every score of the replay comes from three |U| x T arrays over
+    the sorted class union U (rows) and the steps (columns), none of which
+    depends on w or w_s:
+
+      su       per-class max user similarity over the records before t,
+               0 where the class has none yet;
+      sm       prototype similarity, 0 for classes without a prototype;
+      present  the class was in the user store before t.
+
+    A strategy's scores are one elementwise combination of su and sm. The
+    true class's rank position is then a count, with no sort: the
+    candidates scoring higher, plus those scoring equal that the tie rule
+    puts first (user-present, then the smaller id).
+    """
+
+    def __init__(self, records: Sequence[LabeledRecord],
+                 protos: PrototypeSet | None, strategy: Strategy):
+        queries = _stack_queries(records)
+        T, dim = queries.shape
+        self.use_protos = (strategy.kind != "1nn-star" and protos is not None
+                           and len(protos) > 0)
+        if self.use_protos and protos.dim != dim:
+            raise SpcError(f"stream dim {dim} != prototype dim {protos.dim}")
+        cls = np.fromiter((r.class_id for r in records), dtype=np.int64,
+                          count=T)
+        proto_ids = protos.class_ids if self.use_protos else cls[:0]
+        self.ids, inverse = np.unique(np.concatenate((cls, proto_ids)),
+                                      return_inverse=True)
+        self.rows, proto_rows = inverse[:T], inverse[T:]
+        self.cols = np.arange(T)
+
+        with np.errstate(invalid="raise", over="raise"):
+            shape = (len(self.ids), T)
+            in_proto = np.zeros(len(self.ids), dtype=bool)
+            self.sm = np.zeros(shape)
+            if self.use_protos:
+                in_proto[proto_rows] = True
+                self.sm[proto_rows] = protos.matrix64 @ queries.T
+            self.su = np.full(shape, -np.inf)
+            if strategy.learn:
+                _prefix_max(queries, self.rows, self.su)
+            self.present = self.su > -np.inf
+            self.su[~self.present] = 0.0
+            self.cand = self.present | in_proto[:, None]
+            p_true = self.present[self.rows, self.cols]
+            row_ids = np.arange(len(self.ids))[:, None]
+            self.tie_ahead = (self.present & ~p_true) | (
+                (self.present == p_true) & (row_ids < self.rows))
+
+    def score(self, strategy: Strategy) -> np.ndarray:
+        """The strategy's post-weight score of every class at every step."""
+        with np.errstate(invalid="raise", over="raise"):
+            if strategy.kind == "spc-sum":
+                score = (1.0 - strategy.w_s) * self.su
+                score += strategy.w_s * self.sm
+                return score
+            if not self.use_protos:
+                return self.su
+            w = strategy.w if strategy.kind == "spc" else 1.0
+            score = w * self.sm
+            return np.maximum(self.su, score, out=score)
+
+    def rank(self, score: np.ndarray) -> np.ndarray:
+        """0-based rank position of the true class at each step, MISS where
+        it is not a candidate."""
+        s_true = score[self.rows, self.cols]
+        ahead = self.cand & ((score > s_true)
+                             | ((score == s_true) & self.tie_ahead))
+        pos = ahead.sum(axis=0)
+        pos[~self.cand[self.rows, self.cols]] = MISS
+        return pos
+
+    def top1(self, score: np.ndarray) -> np.ndarray:
+        """Predicted class at each step, -1 where there is no candidate."""
+        best = score.max(axis=0, where=self.cand, initial=-np.inf)
+        top = self.cand & (score == best)
+        top_user = top & self.present
+        row = np.where(top_user.any(axis=0), top_user.argmax(axis=0),
+                       top.argmax(axis=0))
+        return np.where(top.any(axis=0), self.ids[row], -1)
+
+    def hits(self, strategy: Strategy, k_list) -> dict[int, np.ndarray]:
+        pos = self.rank(self.score(strategy))
+        return {k: pos < k for k in k_list}
+
+
+def _replay_nn(records, protos, strategy, counter):
+    """Rank positions and predictions of a nearest-neighbor strategy."""
+    scores = _ClassScores(records, protos, strategy)
+    if counter is not None:
+        # the dot products a per-call replay spends at each step
+        n_proto = len(protos) if scores.use_protos else 0
+        for t in range(len(records)):
+            n = t * strategy.learn + n_proto
+            if n:
+                counter.add(n)
+    score = scores.score(strategy)
+    return scores.rank(score).tolist(), scores.top1(score).tolist()
+
+
+def _replay_means(records, protos, strategy, counter):
+    """Rank positions and predictions of a mean baseline, step by step."""
+    if protos is None or len(protos) == 0:
+        raise SpcError(f"strategy {strategy.kind} needs a non-empty "
+                       "prototype set")
+    means = (MeanState.from_prototypes(protos, strategy.mean_mode)
+             if strategy.kind == "ncm-incr" else None)
+    positions, predicted = [], []
+    for rec in records:
+        ranking = (ncm_rank(rec.vec, protos, counter) if means is None
+                   else means.rank(rec.vec, counter))
+        pos = np.flatnonzero(ranking.class_ids == rec.class_id)
+        positions.append(int(pos[0]) if len(pos) else MISS)
+        predicted.append(ranking.top1())
+        if means is not None and strategy.learn:
+            means.update(rec.vec, rec.class_id)
+    return positions, predicted
 
 
 def run_user_stream(records: Sequence[LabeledRecord],
@@ -227,20 +293,16 @@ def run_user_stream(records: Sequence[LabeledRecord],
     if not records:
         return []
     _check_contiguous(records)
-    if strategy.kind in ("spc", "spc-sum", "1nn", "1nn-star"):
-        return _run_nn_family(records, protos, strategy, k_list, counter)
-    dim = len(records[0].vec)
-    state = _StrategyState(strategy, protos, dim)
-    initial = protos.class_set if protos is not None else set()
-    seen: set[int] = set()
-    max_k = max(k_list)
-    outcomes = []
-    for rec in records:
-        ranking = state.rank(rec.vec, counter)
-        outcomes.append(_outcome(rec, ranking, k_list, max_k, initial, seen))
-        state.learn(rec)
-        seen.add(rec.class_id)
-    return outcomes
+    replay = (_replay_means if strategy.kind in ("ncm-fixed", "ncm-incr")
+              else _replay_nn)
+    positions, predicted = replay(records, protos, strategy, counter)
+    in_initial, in_union = _upper_limit_flags(records, protos)
+    return [Outcome(user=rec.user, t=rec.t, true_class=rec.class_id,
+                    hits={k: pos < k for k in k_list}, in_initial=ini,
+                    in_union=uni, predicted=None if top < 0 else top)
+            for rec, pos, top, ini, uni in zip(
+                records, positions, predicted, in_initial.tolist(),
+                in_union.tolist())]
 
 
 def group_by_user(records: Iterable[LabeledRecord]) -> dict[str, list[LabeledRecord]]:
@@ -329,53 +391,64 @@ class BucketReport:
 
 def bucket_report(outcomes: dict[str, list[Outcome]], bucket_width: int = 50,
                   k_list: Sequence[int] = (1, 5)) -> BucketReport:
-    if not outcomes or all(len(v) == 0 for v in outcomes.values()):
+    users = [_UserHits({k: np.array([o.hits[k] for o in outs], dtype=bool)
+                        for k in k_list},
+                       np.array([o.in_initial for o in outs], dtype=bool),
+                       np.array([o.in_union for o in outs], dtype=bool))
+             for outs in outcomes.values()]
+    return _report(users, bucket_width, k_list)
+
+
+def _report(users: list[_UserHits], bucket_width: int,
+            k_list: Sequence[int]) -> BucketReport:
+    """Bucket per-user hit arrays; the per-t means match mean_accuracy."""
+    lengths = {len(u.in_initial) for u in users if len(u.in_initial)}
+    if not lengths:
         raise SpcError("no outcomes to report")
     if bucket_width < 1:
         raise SpcError("bucket width must be >= 1")
-    lengths = {len(v) for v in outcomes.values() if v}
     T = max(lengths)
-    ragged = len(lengths) > 1
     buckets = [(lo, min(lo + bucket_width - 1, T))
                for lo in range(1, T + 1, bucket_width)]
-    partial = T % bucket_width != 0
+
+    def per_t(arrays) -> np.ndarray:
+        """Sum over users of a per-record count, indexed by t - 1."""
+        total = np.zeros(T, dtype=np.int64)
+        for a in arrays:
+            total[:len(a)] += a
+        return total
 
     k_list = tuple(k_list)
+    reach = per_t(np.ones(len(u.in_initial), dtype=np.int64) for u in users)
+    init = per_t(u.in_initial for u in users)
+    union = per_t(u.in_union for u in users)
+    hits = {k: per_t(u.hits[k] for u in users) for k in k_list}
+    hits_init = {k: per_t(u.hits[k] & u.in_initial for u in users)
+                 for k in k_list}
+
     accuracy = {k: [] for k in k_list}
     in_initial, in_union = [], []
     cond_initial = {k: [] for k in k_list}
     cond_outside = {k: [] for k in k_list}
     for lo, hi in buckets:
-        ts = range(lo, hi + 1)
+        b = slice(lo - 1, hi)
+        in_initial.append(float(np.mean(init[b] / reach[b])))
+        in_union.append(float(np.mean(union[b] / reach[b])))
+        n_in = int(init[b].sum())
+        n_out = int(reach[b].sum()) - n_in
         for k in k_list:
-            accuracy[k].append(
-                float(np.mean([mean_accuracy(outcomes, t, k) for t in ts])))
-        per_t_rates = {"init": [], "union": []}
-        pool_in = {k: [] for k in k_list}
-        pool_out = {k: [] for k in k_list}
-        for t in ts:
-            at_t = [o[t - 1] for o in outcomes.values() if t <= len(o)]
-            if not at_t:
-                continue
-            per_t_rates["init"].append(np.mean([o.in_initial for o in at_t]))
-            per_t_rates["union"].append(np.mean([o.in_union for o in at_t]))
-            for o in at_t:
-                pool = pool_in if o.in_initial else pool_out
-                for k in k_list:
-                    pool[k].append(o.hits[k])
-        in_initial.append(float(np.mean(per_t_rates["init"])))
-        in_union.append(float(np.mean(per_t_rates["union"])))
-        for k in k_list:
-            cond_initial[k].append(
-                float(np.mean(pool_in[k])) if pool_in[k] else None)
-            cond_outside[k].append(
-                float(np.mean(pool_out[k])) if pool_out[k] else None)
+            accuracy[k].append(float(np.mean(hits[k][b] / reach[b])))
+            h_in = int(hits_init[k][b].sum())
+            h_out = int(hits[k][b].sum()) - h_in
+            cond_initial[k].append(h_in / n_in if n_in else None)
+            cond_outside[k].append(h_out / n_out if n_out else None)
 
     return BucketReport(bucket_width=bucket_width, buckets=buckets,
                         k_list=k_list, accuracy=accuracy,
                         in_initial=in_initial, in_union=in_union,
                         cond_initial=cond_initial, cond_outside=cond_outside,
-                        ragged=ragged, partial_final_bucket=partial)
+                        ragged=len(lengths) > 1,
+                        partial_final_bucket=T % bucket_width != 0)
 
 
 def evaluate(streams: dict[str, list[LabeledRecord]],
@@ -397,20 +470,39 @@ def _grid_check(grid, lo: float, hi: float, lo_open: bool) -> list[float]:
     return grid
 
 
+def _sweep(streams, protos, strategies, k_list) -> list[dict[str, _UserHits]]:
+    """Per-user hits of strategies that differ only in w or w_s, scored
+    from one build of each user's class scores."""
+    def score_user(recs) -> list[_UserHits]:
+        # one user's class scores are freed before the next user's are built
+        _check_contiguous(recs)
+        scores = _ClassScores(recs, protos, strategies[0])
+        flags = _upper_limit_flags(recs, protos)
+        return [_UserHits(scores.hits(strategy, k_list), *flags)
+                for strategy in strategies]
+
+    per_user = {user: score_user(list(recs))
+                for user, recs in sorted(streams.items()) if recs}
+    return [{user: hits[i] for user, hits in per_user.items()}
+            for i in range(len(strategies))]
+
+
 def sweep_w(streams, protos, grid, k_list=(1, 5), bucket_width: int = 50):
     """One weighted-max evaluation per grid value, over identical streams."""
     grid = _grid_check(grid, 0.0, 1.0, lo_open=True)
-    return [(w, evaluate(streams, protos, Strategy(kind="spc", w=w),
-                         k_list=k_list, bucket_width=bucket_width))
-            for w in grid]
+    hits = _sweep(streams, protos, [Strategy(kind="spc", w=w) for w in grid],
+                  k_list)
+    return [(w, _report(list(h.values()), bucket_width, k_list))
+            for w, h in zip(grid, hits)]
 
 
 def sweep_ws(streams, protos, grid, k_list=(1, 5), bucket_width: int = 50):
     """One linear-combination evaluation per grid value."""
     grid = _grid_check(grid, 0.0, 1.0, lo_open=False)
-    return [(ws, evaluate(streams, protos, Strategy(kind="spc-sum", w_s=ws),
-                          k_list=k_list, bucket_width=bucket_width))
-            for ws in grid]
+    hits = _sweep(streams, protos,
+                  [Strategy(kind="spc-sum", w_s=ws) for ws in grid], k_list)
+    return [(ws, _report(list(h.values()), bucket_width, k_list))
+            for ws, h in zip(grid, hits)]
 
 
 def sweep_table(results, param_name: str, k_list, bucket_width: int) -> ReportTable:
@@ -473,18 +565,13 @@ def cross_validate_w(streams, protos, grid, folds: int = 2,
     fold_users = [order[i::folds] for i in range(folds)]
 
     # per-user mean hit rate for every grid value; folds aggregate from this
-    user_acc: dict[float, dict[str, float]] = {}
-    for w in grid:
-        strategy = Strategy(kind="spc", w=w)
-        accs = {}
-        for user in users:
-            outcomes = run_user_stream(streams[user], protos, strategy,
-                                       k_list=(objective_k,))
-            if not outcomes:
-                raise SpcError(f"user {user!r} has an empty stream")
-            accs[user] = float(np.mean([o.hits[objective_k]
-                                        for o in outcomes]))
-        user_acc[w] = accs
+    for user in users:
+        if not streams[user]:
+            raise SpcError(f"user {user!r} has an empty stream")
+    hits = _sweep(streams, protos, [Strategy(kind="spc", w=w) for w in grid],
+                  (objective_k,))
+    user_acc = {w: {u: float(np.mean(h[u].hits[objective_k])) for u in users}
+                for w, h in zip(grid, hits)}
 
     def set_acc(w: float, members: list[str]) -> float:
         return float(np.mean([user_acc[w][u] for u in members]))

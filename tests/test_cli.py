@@ -140,6 +140,24 @@ class TestEvalCommand:
         assert code == 1
         assert err.startswith("spc: error:")
 
+    def test_nan_record_fails_with_line_number(self, bench, capsys):
+        stream = bench / "stream.records"
+        lines = stream.read_text().splitlines()
+        dim = json.loads(lines[0])["dim"]
+        rec = json.loads(lines[5])
+        rec["vec"] = [float("nan")] * dim
+        lines[5] = json.dumps(rec)
+        stream.write_text("\n".join(lines) + "\n")
+        assert '"vec": [NaN, NaN' in lines[5]
+        report = bench / "x.tsv"
+        code, _, err = run(
+            ["eval", "--strategy", "spc",
+             "--prototypes", str(bench / "common.protos"),
+             "--stream", str(stream), "--out", str(report)], capsys)
+        assert code != 0
+        assert err.startswith("spc: error:") and ":6:" in err
+        assert not report.exists()
+
     def test_markdown_format(self, bench, capsys):
         report = bench / "spc.md"
         code, _, _ = run(

@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from spc import (DimensionMismatchError, LabelRegistry, NormalizationError,
                  PrototypeSet, SpcError, UserStore, normalize)
+from spc.core import check_unit
 
 
 class TestLabelRegistry:
@@ -77,6 +78,12 @@ class TestNormalize:
     def test_storage_is_float32(self):
         assert normalize([1.0, 2.0]).dtype == np.float32
 
+    @pytest.mark.parametrize("bad", [[np.nan, np.nan], [np.nan, 1.0],
+                                     [np.inf, 0.0], [1.0, 1.0]])
+    def test_check_unit_rejects_nan_and_non_unit(self, bad):
+        with pytest.raises(NormalizationError):
+            check_unit(np.array(bad))
+
 
 class TestUserStore:
     def test_append_grows_and_tracks_classes(self):
@@ -95,6 +102,12 @@ class TestUserStore:
         store = UserStore(2)
         with pytest.raises(NormalizationError):
             store.append(np.array([1.0, 1.0], dtype=np.float32), 0)
+
+    def test_nan_rejected(self):
+        store = UserStore(2)
+        with pytest.raises(NormalizationError):
+            store.append(np.array([np.nan, np.nan], dtype=np.float32), 0)
+        assert len(store) == 0
 
     def test_append_never_mutates_prior_entries(self):
         rng = np.random.default_rng(0)
@@ -125,6 +138,11 @@ class TestPrototypeSet:
         with pytest.raises(NormalizationError):
             PrototypeSet(2, class_ids=[0],
                          vectors=np.array([[1.0, 1.0]], dtype=np.float32))
+
+    def test_nan_rejected(self):
+        with pytest.raises(NormalizationError):
+            PrototypeSet(2, class_ids=[0],
+                         vectors=np.array([[np.nan, np.nan]]))
 
     def test_empty_set_is_legal(self):
         assert len(PrototypeSet(8)) == 0

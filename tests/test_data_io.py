@@ -58,6 +58,17 @@ class TestRecordsRoundTrip:
         with pytest.raises(FileFormatError, match=":2:"):
             read_records(path)
 
+    def test_nan_rejected_with_line_number(self, tmp_path):
+        path = tmp_path / "a.records"
+        header = {"format": "spc-records", "version": 1, "dim": 2,
+                  "normalize": False}
+        good = {"user": "u", "t": 1, "label": "c", "vec": [0.6, 0.8]}
+        bad = {"user": "u", "t": 2, "label": "c", "vec": [float("nan")] * 2}
+        path.write_text("\n".join(json.dumps(x) for x in (header, good, bad))
+                        + "\n")
+        with pytest.raises(FileFormatError, match=":3:"):
+            read_records(path)
+
     def test_errors_cite_line_numbers(self, tmp_path):
         recs, reg = make_records(4, dim=2)
         path = tmp_path / "a.records"

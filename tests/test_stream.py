@@ -1,10 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from spc import (DotCounter, LabeledRecord, PrototypeSet, SpcError, Strategy,
-                 SynthConfig, bucket_report, cross_validate_w, evaluate,
+import spc.stream as stream_module
+from spc import (BucketReport, DotCounter, LabeledRecord, PrototypeSet,
+                 SpcConfig, SpcError, Strategy, SumConfig, SynthConfig,
+                 UserStore, bucket_report, cross_validate_w, evaluate,
                  generate_synthetic, group_by_user, mean_accuracy, normalize,
-                 run_streams, run_user_stream, sweep_table, sweep_w, sweep_ws)
+                 register, run_streams, run_user_stream, spc_rank,
+                 spc_sum_rank, sweep_table, sweep_w, sweep_ws)
+
+from .oracle import brute_force_rank
+from .reference_report import reference_bucket_report
 
 SMALL = dict(dim=16, num_common_classes=12, users=6, records_per_user=40,
              novel_classes_per_user=2, confusable_group_count=2, group_size=2,
@@ -245,10 +255,19 @@ class TestSweeps:
 
     def test_sweep_matches_single_evaluation(self, synth):
         streams, protos = synth
-        results = sweep_w(streams, protos, [0.7, 1.0], bucket_width=20)
-        direct = evaluate(streams, protos, Strategy(kind="spc", w=0.7),
-                          bucket_width=20)
-        assert results[0][1].accuracy == direct.accuracy
+        for w, report in sweep_w(streams, protos, [0.5, 0.7, 1.0],
+                                 bucket_width=20):
+            assert report == evaluate(streams, protos,
+                                      Strategy(kind="spc", w=w),
+                                      bucket_width=20)
+
+    def test_sweep_ws_matches_single_evaluation(self, synth):
+        streams, protos = synth
+        for ws, report in sweep_ws(streams, protos, [0.0, 0.4, 1.0],
+                                   k_list=(1, 3), bucket_width=15):
+            assert report == evaluate(streams, protos,
+                                      Strategy(kind="spc-sum", w_s=ws),
+                                      k_list=(1, 3), bucket_width=15)
 
     def test_sweep_table_rows(self, synth):
         streams, protos = synth
@@ -284,8 +303,8 @@ class TestCrossValidation:
                           for fold in result.folds]
             mean_held[w] = np.mean(fold_means)
             for i, fold in enumerate(result.folds):
-                assert result.heldout_accuracy[i][w] == pytest.approx(
-                    np.mean([per_user[w][u] for u in fold]))
+                assert result.heldout_accuracy[i][w] == \
+                    np.mean([per_user[w][u] for u in fold])
         best = min(self.GRID, key=lambda w: (-mean_held[w], w))
         assert result.chosen_w == best
 
@@ -296,3 +315,163 @@ class TestCrossValidation:
         with pytest.raises(SpcError):
             cross_validate_w(streams, protos, self.GRID,
                              folds=len(streams) + 1)
+
+
+# Vectors whose pairwise dot products are exact in any summation order, so
+# every tie they produce is a tie on every path.
+EXACT_POOL = [normalize(v) for v in (
+    [1, 0, 0, 0], [0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1],
+    [0.5, 0.5, 0.5, 0.5], [0.5, -0.5, 0.5, -0.5], [-0.5, -0.5, -0.5, -0.5],
+    [0.5, 0.5, -0.5, -0.5])]
+
+
+@st.composite
+def replay_cases(draw):
+    """A stream, a prototype set and a strategy, drawn to hit ties,
+    negative similarities, empty sides and the cold start.
+
+    General vectors are drawn at dim <= 8. At larger dims the per-call
+    matrix-vector product can round the dots of identical stored vectors
+    differently by their row, so that path does not yet break ties among
+    them by the tie rule.
+    """
+    if draw(st.booleans()):
+        pool = EXACT_POOL
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        dim = draw(st.integers(2, 8))
+        pool = [normalize(rng.standard_normal(dim)) for _ in range(8)]
+    n = draw(st.integers(1, 24))
+    n_classes = draw(st.integers(1, 6))
+    pick = st.integers(0, len(pool) - 1)
+    vecs = draw(st.lists(pick, min_size=n, max_size=n))
+    classes = draw(st.lists(st.integers(0, n_classes - 1), min_size=n,
+                            max_size=n))
+    records = [LabeledRecord(user="u", t=t + 1, class_id=c, vec=pool[v])
+               for t, (v, c) in enumerate(zip(vecs, classes))]
+    mode = draw(st.sampled_from(["none", "empty", "some"]))
+    protos = None
+    if mode == "empty":
+        protos = PrototypeSet(len(pool[0]))
+    elif mode == "some":
+        ids = sorted(draw(st.sets(st.integers(0, n_classes + 1),
+                                  min_size=1)))
+        protos = PrototypeSet(
+            len(pool[0]), class_ids=ids,
+            vectors=np.stack([pool[draw(pick)] for _ in ids]))
+    learn = draw(st.booleans())
+    kind = draw(st.sampled_from(["spc", "1nn", "1nn-star", "spc-sum"]))
+    weight = st.sampled_from([0.5, 0.85, 1.0]) | st.floats(0.01, 1.0)
+    if kind == "spc":
+        strategy = Strategy(kind="spc", w=draw(weight), learn=learn)
+    elif kind == "spc-sum":
+        ws = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+        strategy = Strategy(kind="spc-sum", w_s=ws, learn=learn)
+    else:
+        strategy = Strategy(kind=kind, learn=learn)
+    return records, protos, strategy, draw(st.sampled_from([1, 2, 5, 256]))
+
+
+def per_call_replay(records, protos, strategy, counter):
+    """The prequential loop over the per-call engine: rank, then register."""
+    scored = None if strategy.kind == "1nn-star" else protos
+    store = UserStore(len(records[0].vec))
+    out = []
+    for rec in records:
+        if len(store) == 0 and (scored is None or len(scored) == 0):
+            ranking = None
+        elif strategy.kind == "spc-sum":
+            ranking = spc_sum_rank(rec.vec, store, scored,
+                                   SumConfig(strategy.w_s), counter)
+        else:
+            w = strategy.w if strategy.kind == "spc" else 1.0
+            ranking = spc_rank(rec.vec, store, scored, SpcConfig(w), counter)
+        ids = [] if ranking is None else ranking.class_ids.tolist()
+        out.append(ids)
+        if strategy.learn:
+            register(store, rec.vec, rec.class_id)
+    return out
+
+
+def oracle_replay(records, protos, strategy):
+    """The same loop over the brute-force oracle."""
+    proto_pairs = [] if protos is None or strategy.kind == "1nn-star" else \
+        list(zip(protos.class_ids.tolist(), protos.matrix))
+    user_pairs, out = [], []
+    for rec in records:
+        if not user_pairs and not proto_pairs:
+            out.append([])
+        else:
+            if strategy.kind == "spc-sum":
+                ranked = brute_force_rank(rec.vec, user_pairs, proto_pairs,
+                                          w_s=strategy.w_s)
+            else:
+                w = strategy.w if strategy.kind == "spc" else 1.0
+                ranked = brute_force_rank(rec.vec, user_pairs, proto_pairs,
+                                          w=w)
+            out.append([c for c, _ in ranked])
+        if strategy.learn:
+            user_pairs.append((rec.vec, rec.class_id))
+    return out
+
+
+class TestEvaluatorDifferential:
+    """The whole-stream evaluator against the per-call engine and the
+    oracle, record by record."""
+
+    # a tie at the top between a user class and a smaller prototype-only
+    # class: the user class is predicted
+    @example((
+        [LabeledRecord(user="u", t=1, class_id=1, vec=EXACT_POOL[0]),
+         LabeledRecord(user="u", t=2, class_id=0, vec=EXACT_POOL[0])],
+        PrototypeSet(4, class_ids=[0], vectors=[EXACT_POOL[0]]),
+        Strategy(kind="1nn"), 256))
+    @settings(max_examples=300, deadline=None)
+    @given(replay_cases())
+    def test_matches_per_call_and_oracle(self, case):
+        records, protos, strategy, block = case
+        saved = stream_module.GRAM_BLOCK
+        stream_module.GRAM_BLOCK = block
+        try:
+            counter = DotCounter()
+            got = run_user_stream(records, protos, strategy, counter=counter)
+        finally:
+            stream_module.GRAM_BLOCK = saved
+        want_counter = DotCounter()
+        per_call = per_call_replay(records, protos, strategy, want_counter)
+        oracle = oracle_replay(records, protos, strategy)
+        assert counter.per_call == want_counter.per_call
+        initial = protos.class_set if protos is not None else set()
+        seen = set()
+        for o, rec, ids, ids_oracle in zip(got, records, per_call, oracle):
+            assert ids == ids_oracle
+            assert o.predicted == (ids[0] if ids else None)
+            assert o.hits == {k: rec.class_id in ids[:k] for k in (1, 5)}
+            assert o.in_initial == (rec.class_id in initial)
+            assert o.in_union == (rec.class_id in initial | seen)
+            seen.add(rec.class_id)
+
+    def test_nan_record_rejected(self):
+        records = [rec("u", 1, 0, [1.0, 0.0]),
+                   LabeledRecord(user="u", t=2, class_id=0,
+                                 vec=np.array([np.nan, np.nan], np.float32))]
+        with pytest.raises(SpcError, match="t=2"):
+            run_user_stream(records, None, Strategy(kind="spc"))
+
+
+class TestBucketReportMatchesReference:
+    @pytest.mark.parametrize("width", [1, 7, 15, 40, 1000])
+    @pytest.mark.parametrize("kind", ["spc", "1nn-star", "ncm-incr"])
+    def test_field_by_field(self, synth, kind, width):
+        streams, protos = synth
+        outcomes = run_streams(streams, protos, Strategy(kind=kind),
+                               k_list=(1, 2, 5))
+        ragged = dict(outcomes)
+        short = sorted(ragged)[0]
+        ragged[short] = ragged[short][:23]
+        for outs, k_list in ((outcomes, (1, 5)), (ragged, (1, 2, 5))):
+            got = bucket_report(outs, bucket_width=width, k_list=k_list)
+            want = reference_bucket_report(outs, bucket_width=width,
+                                           k_list=k_list)
+            for f in dataclasses.fields(BucketReport):
+                assert getattr(got, f.name) == getattr(want, f.name), f.name
