@@ -6,7 +6,8 @@ Storage convention: embedding components are float32; all accumulation
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,17 +70,28 @@ def normalize(raw) -> np.ndarray:
     v = np.asarray(raw, dtype=np.float64)
     if v.ndim != 1:
         raise NormalizationError("expected a 1-d vector")
-    norm = np.linalg.norm(v)
-    if norm == 0.0 or not np.isfinite(norm):
+    # the value of np.linalg.norm on a 1-d float64 array, at half the cost
+    norm = math.sqrt(v.dot(v))
+    if norm == 0.0 or not math.isfinite(norm):
         raise NormalizationError("cannot normalize zero or non-finite vector")
     return (v / norm).astype(np.float32)
 
 
 def check_unit(vec: np.ndarray, tol: float = UNIT_NORM_TOL) -> None:
-    norm = float(np.linalg.norm(np.asarray(vec, dtype=np.float64)))
+    v = np.asarray(vec, dtype=np.float64)
+    norm = math.sqrt(v.dot(v))
     # written so that a NaN norm fails too
     if not abs(norm - 1.0) <= tol:
         raise NormalizationError(f"vector norm {norm!r} is not 1 within {tol}")
+
+
+def non_unit_rows(matrix: np.ndarray,
+                  tol: float = UNIT_NORM_TOL) -> np.ndarray:
+    """Indices of the rows of a float64 matrix whose norm is not 1 within
+    tol, NaN norms included."""
+    # einsum forms no temporary of squares
+    norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
+    return np.flatnonzero(~(np.abs(norms - 1.0) <= tol))
 
 
 @dataclass(frozen=True)
@@ -120,11 +132,13 @@ class UserStore:
         if v.shape != (self.dim,):
             raise DimensionMismatchError(
                 f"expected dim {self.dim}, got shape {v.shape}")
-        check_unit(v)
         if self._n == self._vecs32.shape[0]:
             self._grow()
+        # the row past the end is not visible until _n moves
+        row = self._vecs64[self._n]
+        row[:] = v
+        check_unit(row)
         self._vecs32[self._n] = v
-        self._vecs64[self._n] = v.astype(np.float64)
         self._classes[self._n] = class_id
         self._n += 1
         self.class_set.add(int(class_id))
@@ -174,11 +188,15 @@ class PrototypeSet:
         vecs = np.asarray(vectors, dtype=np.float32).reshape(len(ids), dim)
         if len(set(ids.tolist())) != len(ids):
             raise SpcError("duplicate class id in prototype set")
-        for row in vecs:
-            check_unit(row)
+        matrix64 = vecs.astype(np.float64)
+        bad = non_unit_rows(matrix64)
+        if len(bad):
+            raise NormalizationError(
+                f"prototype row {bad[0]} (class {ids[bad[0]]}) is not "
+                f"unit-normalized within {UNIT_NORM_TOL}")
         self.class_ids = ids
         self.matrix = vecs
-        self.matrix64 = vecs.astype(np.float64)
+        self.matrix64 = matrix64
         self.class_set: set[int] = set(int(c) for c in ids)
         self.counts: dict[int, int] | None = (
             {int(k): int(v) for k, v in counts.items()} if counts else None)

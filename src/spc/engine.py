@@ -20,6 +20,7 @@ values; no epsilon is applied in ordering.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -217,6 +218,19 @@ def register(store: UserStore, vec, class_id: int) -> UserStore:
     return store
 
 
+def unit_means(acc: np.ndarray, count, class_ids) -> np.ndarray:
+    """Rows acc / count, each scaled to unit length: the means a MeanState
+    exposes. Each row's norm is its own dot product, so a row comes out the
+    same whether it is computed alone or in a batch."""
+    means = acc / np.reshape(count, (-1, 1))
+    norms = np.array([math.sqrt(m.dot(m)) for m in means])
+    zero = np.flatnonzero(norms == 0.0)
+    if len(zero):
+        raise SpcError(
+            f"mean of class {class_ids[zero[0]]} cancelled to zero")
+    return means / norms[:, None]
+
+
 class MeanState:
     """Per-class running means for the incremental-mean baselines.
 
@@ -245,33 +259,38 @@ class MeanState:
         self._exposed = np.empty((0, dim))
 
     @classmethod
+    def seed(cls, protos: PrototypeSet,
+             mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The prototype classes in id order, with the raw accumulators and
+        the counts that seed their running means."""
+        order = np.argsort(protos.class_ids)
+        ids = protos.class_ids[order]
+        if mode == cls.FULL_HISTORY:
+            if protos.counts is None or any(
+                    c not in protos.counts for c in ids.tolist()):
+                raise SpcError(
+                    "full-history seeding needs per-class training counts")
+            count = np.array([protos.counts[c] for c in ids.tolist()],
+                             dtype=np.int64)
+        elif mode == cls.MEAN_AS_ONE:
+            count = np.ones(len(ids), dtype=np.int64)
+        else:
+            raise SpcError(f"unknown mean seeding mode {mode!r}")
+        return ids, protos.matrix64[order] * count[:, None], count
+
+    @classmethod
     def from_prototypes(cls, protos: PrototypeSet, mode: str) -> "MeanState":
+        ids, acc, count = cls.seed(protos, mode)
         state = cls(protos.dim)
-        for i, c in enumerate(protos.class_ids):
-            c = int(c)
-            if mode == cls.FULL_HISTORY:
-                if protos.counts is None or c not in protos.counts:
-                    raise SpcError(
-                        "full-history seeding needs per-class training counts")
-                count = protos.counts[c]
-            elif mode == cls.MEAN_AS_ONE:
-                count = 1
-            else:
-                raise SpcError(f"unknown mean seeding mode {mode!r}")
-            vec = protos.matrix64[i]
-            state._acc[c] = vec * count
-            state._count[c] = count
-        state._ids = np.sort(protos.class_ids)
-        state._exposed = np.stack([state._mean(int(c)) for c in state._ids]) \
-            if len(state._ids) else state._exposed
+        state._acc = dict(zip(ids.tolist(), acc))
+        state._count = dict(zip(ids.tolist(), count.tolist()))
+        state._ids = ids
+        state._exposed = unit_means(acc, count, ids)
         return state
 
     def _mean(self, class_id: int) -> np.ndarray:
-        mean = self._acc[class_id] / self._count[class_id]
-        norm = np.linalg.norm(mean)
-        if norm == 0.0:
-            raise SpcError(f"mean of class {class_id} cancelled to zero")
-        return mean / norm
+        return unit_means(self._acc[class_id][None], self._count[class_id],
+                          (class_id,))[0]
 
     def _row(self, class_id: int) -> int:
         return int(np.searchsorted(self._ids, class_id))

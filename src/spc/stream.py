@@ -6,18 +6,23 @@ The harness itself tracks which classes a user has seen so far; the
 in-union flag therefore reflects the protocol's bookkeeping even for
 strategies that do not learn.
 
-The nearest-neighbor family (spc, spc-sum, 1nn, 1nn-star) is replayed by
-one whole-stream evaluator per user rather than step by step. Because the
-store at step t holds exactly records 1..t-1, the per-class similarities
-behind every score form three |U| x T arrays over the user's class union U
-and the steps: the prefix max of user similarities, the prototype
-similarities and the presence flags. None depends on w or w_s, so a
-strategy's scores are one elementwise combination of them, and the true
-class's rank position is a count rather than a sort. The Gram matrix is
-built GRAM_BLOCK query columns at a time, so memory is O(|U| T + B T)
-and no T x T array is allocated. The w and w_s sweeps and cross-validation
-build each user's arrays once and re-score them for every grid value.
-The mean baselines (ncm-fixed, ncm-incr) are replayed per step.
+Every strategy is replayed by one whole-stream evaluator per user rather
+than step by step. Because the store at step t holds exactly records
+1..t-1, the per-class similarities behind every score form |U| x T arrays
+over the user's class union U and the steps. For the nearest-neighbor
+family (spc, spc-sum, 1nn, 1nn-star) they are the prefix max of user
+similarities, the prototype similarities and the presence flags; none
+depends on w or w_s, so a strategy's scores are one elementwise
+combination of them. ncm-fixed scores the prototype similarities alone.
+ncm-incr scores a matrix of mean versions: a user's running class means
+change only at the user's own records, so they take |P| + T versions (the
+seeded prototypes, then each record's class mean after absorbing it), and
+an index array picks the version each class exposes at each step. The
+true class's rank position is then a count rather than a sort. Query
+columns are scored GRAM_BLOCK at a time, so memory is
+O(|U| T + (|P| + T) (dim + B)) and no T x T array is allocated. The w and w_s
+sweeps and cross-validation build each user's arrays once and re-score
+them for every grid value.
 """
 
 from __future__ import annotations
@@ -27,9 +32,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import UNIT_NORM_TOL, LabeledRecord, PrototypeSet, SpcError
+from .core import (DimensionMismatchError, LabeledRecord, PrototypeSet,
+                   SpcError, non_unit_rows)
 from .data_io import ReportTable
-from .engine import DotCounter, MeanState, SpcConfig, SumConfig, ncm_rank
+from .engine import DotCounter, MeanState, SpcConfig, SumConfig, unit_means
 
 STRATEGY_KINDS = ("spc", "spc-sum", "ncm-fixed", "ncm-incr", "1nn", "1nn-star")
 
@@ -70,7 +76,7 @@ class Strategy:
         return self.kind
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Outcome:
     """Per-record evaluation result."""
 
@@ -98,20 +104,25 @@ GRAM_BLOCK = 128
 MISS = np.iinfo(np.intp).max
 
 
-def _stack_queries(records) -> np.ndarray:
-    """The stream's vectors as one float64 matrix, each row checked unit."""
-    dim = len(records[0].vec)
-    queries = np.empty((len(records), dim), dtype=np.float64)
-    for i, rec in enumerate(records):
+def _check_shapes(records, dim: int) -> None:
+    for rec in records:
         v = np.asarray(rec.vec, dtype=np.float64)
         if v.shape != (dim,):
             raise SpcError(
                 f"user {rec.user!r} t={rec.t}: vector shape {v.shape}")
-        queries[i] = v
-    # einsum forms no T x dim temporary of squares
-    norms = np.sqrt(np.einsum("ij,ij->i", queries, queries))
-    # written so that a NaN norm fails too
-    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))
+
+
+def _stack_queries(records) -> np.ndarray:
+    """The stream's vectors as one float64 matrix, each row checked unit."""
+    dim = len(records[0].vec)
+    try:
+        queries = np.array([rec.vec for rec in records], dtype=np.float64)
+    except ValueError:
+        _check_shapes(records, dim)
+        raise
+    if queries.shape != (len(records), dim):
+        _check_shapes(records, dim)
+    bad = non_unit_rows(queries)
     if len(bad):
         raise SpcError(f"record t={records[bad[0]].t} is not unit-normalized")
     return queries
@@ -155,18 +166,82 @@ class _UserHits:
     in_union: np.ndarray
 
 
+def _running_means(queries, ids, rows, seed_rows, seed_acc, seed_count):
+    """Each record's class mean after absorbing the record, in t order.
+
+    The per-class sums are MeanState's: sequential in float64, one record
+    added at a time. They run vectorized over the classes, with one loop
+    over each class's occurrence index k.
+    """
+    T, dim = queries.shape
+    # -0.0 + v is v bit for bit, as MeanState copies a new class's first
+    # vector
+    acc = np.full((len(ids), dim), -0.0)
+    acc[seed_rows] = seed_acc
+    count = np.zeros(len(ids), dtype=np.int64)
+    count[seed_rows] = seed_count
+    order = np.argsort(rows, kind="stable")
+    starts = np.flatnonzero(np.diff(rows[order], prepend=-1))
+    occ = np.empty(T, dtype=np.intp)
+    occ[order] = np.arange(T) - np.repeat(starts, np.diff(starts, append=T))
+    by_k = np.argsort(occ, kind="stable")
+    sums = np.empty_like(queries)
+    for j in np.split(by_k, np.cumsum(np.bincount(occ))[:-1]):
+        # the records of one k belong to distinct classes
+        c = rows[j]
+        acc[c] += queries[j]
+        sums[j] = acc[c]
+    return unit_means(sums, count[rows] + occ + 1, ids[rows])
+
+
+def _mean_scores(queries, ids, rows, protos, strategy):
+    """ncm-incr's similarity of every class at every step, and whether the
+    class has a mean there.
+
+    version[c, t] indexes the mean class c exposes at step t in the matrix
+    of versions: the |P| seeded prototypes, then record j's class mean
+    after absorbing it, exposed from step j + 1 on.
+    """
+    T = len(queries)
+    seed_ids, seed_acc, seed_count = MeanState.seed(protos,
+                                                    strategy.mean_mode)
+    P = len(seed_ids)
+    seed_rows = np.searchsorted(ids, seed_ids)
+    version = np.full((len(ids), T), -1, dtype=np.intp)
+    version[seed_rows, 0] = np.arange(P)
+    versions = unit_means(seed_acc, seed_count, seed_ids)
+    if strategy.learn:
+        version[rows[:-1], np.arange(1, T)] = P + np.arange(T - 1)
+        versions = np.concatenate((versions, _running_means(
+            queries, ids, rows, seed_rows, seed_acc, seed_count)))
+    np.maximum.accumulate(version, axis=1, out=version)
+    has_mean = version >= 0
+    np.maximum(version, 0, out=version)
+    score = np.empty(version.shape)
+    for b0 in range(0, T, GRAM_BLOCK):
+        b1 = min(b0 + GRAM_BLOCK, T)
+        # no step before b1 exposes a later version
+        dots = versions[:P + b1] @ queries[b0:b1].T
+        score[:, b0:b1] = dots[version[:, b0:b1], np.arange(b1 - b0)]
+    return score, has_mean
+
+
 class _ClassScores:
-    """Whole-stream evaluator for the nearest-neighbor family.
+    """Whole-stream evaluator for every strategy.
 
     Under predict-then-learn the user store at step t holds exactly records
-    1..t-1, so every score of the replay comes from three |U| x T arrays over
+    1..t-1, so every score of the replay comes from |U| x T arrays over
     the sorted class union U (rows) and the steps (columns), none of which
     depends on w or w_s:
 
       su       per-class max user similarity over the records before t,
-               0 where the class has none yet;
+               0 where the class has none yet (nearest-neighbor family
+               only);
       sm       prototype similarity, 0 for classes without a prototype;
-      present  the class was in the user store before t.
+               for ncm-incr, the similarity to the class's running mean;
+      present  the class was in the user store before t (never, for the
+               mean baselines);
+      cand     the class is ranked at t.
 
     A strategy's scores are one elementwise combination of su and sm. The
     true class's rank position is then a count, with no sort: the
@@ -178,10 +253,15 @@ class _ClassScores:
                  protos: PrototypeSet | None, strategy: Strategy):
         queries = _stack_queries(records)
         T, dim = queries.shape
+        self.means = strategy.kind in ("ncm-fixed", "ncm-incr")
         self.use_protos = (strategy.kind != "1nn-star" and protos is not None
                            and len(protos) > 0)
+        if self.means and not self.use_protos:
+            raise SpcError(f"strategy {strategy.kind} needs a non-empty "
+                           "prototype set")
         if self.use_protos and protos.dim != dim:
-            raise SpcError(f"stream dim {dim} != prototype dim {protos.dim}")
+            raise DimensionMismatchError(
+                f"stream dim {dim} != prototype dim {protos.dim}")
         cls = np.fromiter((r.class_id for r in records), dtype=np.int64,
                           count=T)
         proto_ids = protos.class_ids if self.use_protos else cls[:0]
@@ -192,17 +272,25 @@ class _ClassScores:
 
         with np.errstate(invalid="raise", over="raise"):
             shape = (len(self.ids), T)
-            in_proto = np.zeros(len(self.ids), dtype=bool)
-            self.sm = np.zeros(shape)
-            if self.use_protos:
+            if strategy.kind == "ncm-incr":
+                self.sm, self.cand = _mean_scores(queries, self.ids,
+                                                  self.rows, protos, strategy)
+            else:
+                in_proto = np.zeros(len(self.ids), dtype=bool)
                 in_proto[proto_rows] = True
-                self.sm[proto_rows] = protos.matrix64 @ queries.T
-            self.su = np.full(shape, -np.inf)
-            if strategy.learn:
-                _prefix_max(queries, self.rows, self.su)
-            self.present = self.su > -np.inf
-            self.su[~self.present] = 0.0
-            self.cand = self.present | in_proto[:, None]
+                self.sm = np.zeros(shape)
+                if self.use_protos:
+                    self.sm[proto_rows] = protos.matrix64 @ queries.T
+                self.cand = np.broadcast_to(in_proto[:, None], shape)
+            if self.means:
+                self.present = np.zeros(shape, dtype=bool)
+            else:
+                self.su = np.full(shape, -np.inf)
+                if strategy.learn:
+                    _prefix_max(queries, self.rows, self.su)
+                self.present = self.su > -np.inf
+                self.su[~self.present] = 0.0
+                self.cand = self.present | self.cand
             p_true = self.present[self.rows, self.cols]
             row_ids = np.arange(len(self.ids))[:, None]
             self.tie_ahead = (self.present & ~p_true) | (
@@ -211,6 +299,8 @@ class _ClassScores:
     def score(self, strategy: Strategy) -> np.ndarray:
         """The strategy's post-weight score of every class at every step."""
         with np.errstate(invalid="raise", over="raise"):
+            if self.means:
+                return self.sm
             if strategy.kind == "spc-sum":
                 score = (1.0 - strategy.w_s) * self.su
                 score += strategy.w_s * self.sm
@@ -245,37 +335,21 @@ class _ClassScores:
         return {k: pos < k for k in k_list}
 
 
-def _replay_nn(records, protos, strategy, counter):
-    """Rank positions and predictions of a nearest-neighbor strategy."""
+def _replay(records, protos, strategy, counter):
+    """Rank positions and predictions of a strategy over one stream."""
     scores = _ClassScores(records, protos, strategy)
     if counter is not None:
         # the dot products a per-call replay spends at each step
-        n_proto = len(protos) if scores.use_protos else 0
-        for t in range(len(records)):
-            n = t * strategy.learn + n_proto
+        if scores.means:
+            dots = scores.cand.sum(axis=0)
+        else:
+            n_proto = len(protos) if scores.use_protos else 0
+            dots = np.arange(len(records)) * strategy.learn + n_proto
+        for n in dots.tolist():
             if n:
                 counter.add(n)
     score = scores.score(strategy)
     return scores.rank(score).tolist(), scores.top1(score).tolist()
-
-
-def _replay_means(records, protos, strategy, counter):
-    """Rank positions and predictions of a mean baseline, step by step."""
-    if protos is None or len(protos) == 0:
-        raise SpcError(f"strategy {strategy.kind} needs a non-empty "
-                       "prototype set")
-    means = (MeanState.from_prototypes(protos, strategy.mean_mode)
-             if strategy.kind == "ncm-incr" else None)
-    positions, predicted = [], []
-    for rec in records:
-        ranking = (ncm_rank(rec.vec, protos, counter) if means is None
-                   else means.rank(rec.vec, counter))
-        pos = np.flatnonzero(ranking.class_ids == rec.class_id)
-        positions.append(int(pos[0]) if len(pos) else MISS)
-        predicted.append(ranking.top1())
-        if means is not None and strategy.learn:
-            means.update(rec.vec, rec.class_id)
-    return positions, predicted
 
 
 def run_user_stream(records: Sequence[LabeledRecord],
@@ -293,9 +367,7 @@ def run_user_stream(records: Sequence[LabeledRecord],
     if not records:
         return []
     _check_contiguous(records)
-    replay = (_replay_means if strategy.kind in ("ncm-fixed", "ncm-incr")
-              else _replay_nn)
-    positions, predicted = replay(records, protos, strategy, counter)
+    positions, predicted = _replay(records, protos, strategy, counter)
     in_initial, in_union = _upper_limit_flags(records, protos)
     return [Outcome(user=rec.user, t=rec.t, true_class=rec.class_id,
                     hits={k: pos < k for k in k_list}, in_initial=ini,

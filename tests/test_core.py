@@ -144,5 +144,10 @@ class TestPrototypeSet:
             PrototypeSet(2, class_ids=[0],
                          vectors=np.array([[np.nan, np.nan]]))
 
+    def test_error_names_the_first_bad_row(self):
+        with pytest.raises(NormalizationError, match="row 1 .class 7."):
+            PrototypeSet(2, class_ids=[3, 7, 9],
+                         vectors=[[1.0, 0.0], [1.0, 1.0], [np.nan, 0.0]])
+
     def test_empty_set_is_legal(self):
         assert len(PrototypeSet(8)) == 0

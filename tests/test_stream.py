@@ -6,14 +6,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spc.stream as stream_module
-from spc import (BucketReport, DotCounter, LabeledRecord, PrototypeSet,
-                 SpcConfig, SpcError, Strategy, SumConfig, SynthConfig,
-                 UserStore, bucket_report, cross_validate_w, evaluate,
-                 generate_synthetic, group_by_user, mean_accuracy, normalize,
-                 register, run_streams, run_user_stream, spc_rank,
-                 spc_sum_rank, sweep_table, sweep_w, sweep_ws)
+from spc import (BucketReport, DimensionMismatchError, DotCounter,
+                 LabeledRecord, PrototypeSet, SpcConfig, SpcError, Strategy,
+                 SumConfig, SynthConfig, UserStore, bucket_report,
+                 cross_validate_w, evaluate, generate_synthetic,
+                 group_by_user, mean_accuracy, normalize, register,
+                 run_streams, run_user_stream, spc_rank, spc_sum_rank,
+                 sweep_table, sweep_w, sweep_ws)
 
 from .oracle import brute_force_rank
+from .reference_means import reference_mean_replay
 from .reference_report import reference_bucket_report
 
 SMALL = dict(dim=16, num_common_classes=12, users=6, records_per_user=40,
@@ -415,6 +417,15 @@ def oracle_replay(records, protos, strategy):
     return out
 
 
+def replay_with_block(records, protos, strategy, block, counter=None):
+    saved = stream_module.GRAM_BLOCK
+    stream_module.GRAM_BLOCK = block
+    try:
+        return run_user_stream(records, protos, strategy, counter=counter)
+    finally:
+        stream_module.GRAM_BLOCK = saved
+
+
 class TestEvaluatorDifferential:
     """The whole-stream evaluator against the per-call engine and the
     oracle, record by record."""
@@ -430,13 +441,8 @@ class TestEvaluatorDifferential:
     @given(replay_cases())
     def test_matches_per_call_and_oracle(self, case):
         records, protos, strategy, block = case
-        saved = stream_module.GRAM_BLOCK
-        stream_module.GRAM_BLOCK = block
-        try:
-            counter = DotCounter()
-            got = run_user_stream(records, protos, strategy, counter=counter)
-        finally:
-            stream_module.GRAM_BLOCK = saved
+        counter = DotCounter()
+        got = replay_with_block(records, protos, strategy, block, counter)
         want_counter = DotCounter()
         per_call = per_call_replay(records, protos, strategy, want_counter)
         oracle = oracle_replay(records, protos, strategy)
@@ -457,6 +463,139 @@ class TestEvaluatorDifferential:
                                  vec=np.array([np.nan, np.nan], np.float32))]
         with pytest.raises(SpcError, match="t=2"):
             run_user_stream(records, None, Strategy(kind="spc"))
+
+
+@st.composite
+def mean_cases(draw):
+    """A stream, a non-empty prototype set with training counts and a mean
+    baseline, drawn to hit classes new to the stream, classes seen many
+    times and negative similarities.
+
+    Vectors are drawn at dim <= 7. From dim 8 the reference's per-call
+    matrix-vector product rounds the scores of identical means differently
+    by their row, so it does not break ties among them by the tie rule.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(2, 7))
+    pool = [normalize(rng.standard_normal(dim)) for _ in range(8)]
+    n = draw(st.integers(1, 30))
+    n_classes = draw(st.integers(1, 6))
+    pick = st.integers(0, len(pool) - 1)
+    vecs = draw(st.lists(pick, min_size=n, max_size=n))
+    classes = draw(st.lists(st.integers(0, n_classes - 1), min_size=n,
+                            max_size=n))
+    records = [LabeledRecord(user="u", t=t + 1, class_id=c, vec=pool[v])
+               for t, (v, c) in enumerate(zip(vecs, classes))]
+    ids = sorted(draw(st.sets(st.integers(0, n_classes + 1), min_size=1)))
+    protos = PrototypeSet(
+        dim, class_ids=ids, vectors=np.stack([pool[draw(pick)] for _ in ids]),
+        counts={c: draw(st.integers(1, 50)) for c in ids})
+    strategy = Strategy(
+        kind=draw(st.sampled_from(["ncm-fixed", "ncm-incr"])),
+        mean_mode=draw(st.sampled_from(["full-history", "mean-as-one"])),
+        learn=draw(st.booleans()))
+    return records, protos, strategy, draw(st.sampled_from([1, 2, 5, 256]))
+
+
+# every similarity is negative and the smaller id scores lower, so clipping
+# the scores at 0 would predict class 0 instead of class 1
+NEGATIVE = (
+    [LabeledRecord(user="u", t=1, class_id=1, vec=normalize([1.0, 0.0]))],
+    PrototypeSet(2, class_ids=[0, 1],
+                 vectors=[normalize([-1.0, 0.2]), normalize([-0.2, 1.0])],
+                 counts={0: 3, 1: 5}))
+
+
+class TestMeanReplayMatchesReference:
+    """The whole-stream replay of ncm-fixed and ncm-incr against the
+    per-step loop over ncm_rank, MeanState.rank and MeanState.update."""
+
+    @example((*NEGATIVE, Strategy(kind="ncm-fixed"), 256))
+    @example((*NEGATIVE, Strategy(kind="ncm-incr"), 1))
+    @settings(max_examples=300, deadline=None)
+    @given(mean_cases())
+    def test_outcomes_and_dot_counts(self, case):
+        records, protos, strategy, block = case
+        counter = DotCounter()
+        got = replay_with_block(records, protos, strategy, block, counter)
+        want_counter = DotCounter()
+        positions, predicted = reference_mean_replay(records, protos,
+                                                     strategy, want_counter)
+        assert [o.predicted for o in got] == predicted
+        for k in (1, 5):
+            assert [o.hits[k] for o in got] == [p < k for p in positions]
+        assert counter.per_call == want_counter.per_call
+
+    def test_long_synthetic_streams(self, synth):
+        streams, protos = synth
+        for strategy in (Strategy(kind="ncm-fixed"),
+                         Strategy(kind="ncm-incr", mean_mode="full-history"),
+                         Strategy(kind="ncm-incr", mean_mode="mean-as-one")):
+            for recs in streams.values():
+                positions, predicted = reference_mean_replay(recs, protos,
+                                                             strategy)
+                got = replay_with_block(recs, protos, strategy, 7)
+                assert [o.predicted for o in got] == predicted
+                assert [o.hits[5] for o in got] == [p < 5 for p in positions]
+
+    def errors(self, records, protos, strategy):
+        """The reference's error and the replay's, both SpcErrors."""
+        with pytest.raises(SpcError) as want:
+            reference_mean_replay(records, protos, strategy)
+        with pytest.raises(SpcError) as got:
+            run_user_stream(records, protos, strategy)
+        return want.value, got.value
+
+    @pytest.mark.parametrize("kind", ["ncm-fixed", "ncm-incr"])
+    @pytest.mark.parametrize("empty", [None, PrototypeSet(2)])
+    def test_empty_prototype_set(self, kind, empty):
+        records = [rec("u", 1, 0, [1.0, 0.0])]
+        want, got = self.errors(records, empty, Strategy(kind=kind))
+        assert str(got) == str(want)
+
+    def test_missing_training_counts(self):
+        protos = PrototypeSet(2, class_ids=[0], vectors=[[1.0, 0.0]])
+        records = [rec("u", 1, 0, [1.0, 0.0])]
+        want, got = self.errors(records, protos, Strategy(kind="ncm-incr"))
+        assert str(got) == str(want) == \
+            "full-history seeding needs per-class training counts"
+
+    @pytest.mark.parametrize("mode", ["full-history", "mean-as-one"])
+    def test_mean_cancelling_to_zero(self, mode):
+        protos = PrototypeSet(2, class_ids=[0, 3],
+                              vectors=[[1.0, 0.0], [0.0, 1.0]],
+                              counts={0: 1, 3: 2})
+        # class 3 cancels at t=3; class 5 would cancel at t=5
+        records = [rec("u", 1, 3, [0.0, -1.0]), rec("u", 2, 5, [1.0, 0.0]),
+                   rec("u", 3, 3, [0.0, -1.0]), rec("u", 4, 0, [0.6, 0.8]),
+                   rec("u", 5, 5, [-1.0, 0.0])]
+        strategy = Strategy(kind="ncm-incr", mean_mode=mode)
+        if mode == "mean-as-one":
+            # the seed of class 3 counts once, so class 3 cancels at t=1
+            records = records[:1]
+        want, got = self.errors(records, protos, strategy)
+        assert str(got) == str(want) == "mean of class 3 cancelled to zero"
+        frozen = dataclasses.replace(strategy, learn=False)
+        assert len(run_user_stream(records, protos, frozen)) == len(records)
+
+    @pytest.mark.parametrize("kind", ["ncm-fixed", "ncm-incr"])
+    def test_non_unit_record_names_its_t(self, kind):
+        protos = PrototypeSet(2, class_ids=[0], vectors=[[1.0, 0.0]],
+                              counts={0: 4})
+        records = [rec("u", 1, 0, [1.0, 0.0]),
+                   LabeledRecord(user="u", t=2, class_id=0,
+                                 vec=np.array([1.0, 1.0], np.float32))]
+        _, got = self.errors(records, protos, Strategy(kind=kind))
+        assert "t=2" in str(got)
+
+    @pytest.mark.parametrize("kind", ["ncm-fixed", "ncm-incr"])
+    def test_dim_mismatch(self, kind):
+        protos = PrototypeSet(2, class_ids=[0], vectors=[[1.0, 0.0]],
+                              counts={0: 4})
+        records = [rec("u", 1, 0, [1.0, 0.0, 0.0])]
+        want, got = self.errors(records, protos, Strategy(kind=kind))
+        assert isinstance(want, DimensionMismatchError)
+        assert isinstance(got, DimensionMismatchError)
 
 
 class TestBucketReportMatchesReference:
