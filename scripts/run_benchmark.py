@@ -41,6 +41,7 @@ def main() -> int:
     ap.add_argument("--skip-sweep", action="store_true")
     args = ap.parse_args()
 
+    ext = {"tsv": "tsv", "markdown": "md"}[args.format]
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -62,7 +63,7 @@ def main() -> int:
         table = report.to_table(strategy.label())
         name = strategy.label().replace(" ", "").replace("(", "-") \
             .replace(")", "").replace("=", "")
-        path = out_dir / f"eval-{name}.{args.format[:3]}"
+        path = out_dir / f"eval-{name}.{ext}"
         write_report(table, path, fmt=args.format)
         top1 = ["%.1f" % (100 * a) for a in report.accuracy[1]]
         print(f"{strategy.label():28s} top-1 by bucket: {' '.join(top1)} "
@@ -71,7 +72,7 @@ def main() -> int:
     if not args.skip_sweep:
         t0 = time.perf_counter()
         results = sweep_w(streams, protos, W_GRID)
-        path = out_dir / f"sweep-w.{args.format[:3]}"
+        path = out_dir / f"sweep-w.{ext}"
         write_report(sweep_table(results, "w", (1, 5), 50), path,
                      fmt=args.format)
         best = max(results, key=lambda r: r[1].accuracy[1][-1])
@@ -80,7 +81,7 @@ def main() -> int:
 
         t0 = time.perf_counter()
         cv = cross_validate_w(streams, protos, W_GRID, seed=args.seed)
-        path = out_dir / f"cv-w.{args.format[:3]}"
+        path = out_dir / f"cv-w.{ext}"
         write_report(cv.to_table(), path, fmt=args.format)
         print(f"cross-validated choice: w={cv.chosen_w:g} "
               f"({time.perf_counter() - t0:.1f}s) -> {path}")

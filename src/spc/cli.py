@@ -161,17 +161,13 @@ def cmd_sweep(args) -> int:
         raise UsageError("give exactly one of --w-grid or --ws-grid")
     k_list = parse_topk(args.topk)
     streams, protos = _load_eval_inputs(args)
+    sweep, spec, param = ((sweep_w, args.w_grid, "w")
+                          if args.w_grid is not None
+                          else (sweep_ws, args.ws_grid, "w_s"))
     try:
-        if args.w_grid is not None:
-            grid = parse_grid(args.w_grid)
-            results = sweep_w(streams, protos, grid, k_list=k_list,
-                              bucket_width=args.bucket)
-            table = sweep_table(results, "w", k_list, args.bucket)
-        else:
-            grid = parse_grid(args.ws_grid)
-            results = sweep_ws(streams, protos, grid, k_list=k_list,
-                               bucket_width=args.bucket)
-            table = sweep_table(results, "w_s", k_list, args.bucket)
+        results = sweep(streams, protos, parse_grid(spec), k_list=k_list,
+                        bucket_width=args.bucket)
+        table = sweep_table(results, param, k_list, args.bucket)
     except SpcError as e:
         raise UsageError(str(e)) from None
     write_report(table, args.out, fmt=args.format, precise=args.precise)

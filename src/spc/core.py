@@ -1,7 +1,9 @@
 """Core domain types: label interning, unit embeddings, per-user vector stores.
 
-Storage convention: embedding components are float32; all accumulation
-(dot products, means) happens in float64.
+Storage convention: embedding components are float32 values; all
+accumulation (dot products, means) happens in float64. A UserStore keeps its
+embeddings once, in float64 rows; a PrototypeSet keeps a float32 matrix and
+its float64 copy.
 """
 
 from __future__ import annotations
@@ -112,18 +114,17 @@ class UserStore:
     """Append-only per-user store of (embedding, class) pairs.
 
     Single-writer; readers may observe any consistent prefix. Prior entries
-    are never mutated or reordered. Keeps a float64 mirror of the float32
-    storage so ranking accumulates in 64-bit without per-call conversion.
+    are never mutated or reordered. The embeddings are kept once, as float64
+    rows holding float32 values, so ranking accumulates in 64-bit without
+    per-call conversion.
     """
 
     def __init__(self, dim: int) -> None:
         if dim < 1:
             raise SpcError("dim must be positive")
         self.dim = dim
-        cap = 32
-        self._vecs32 = np.empty((cap, dim), dtype=np.float32)
-        self._vecs64 = np.empty((cap, dim), dtype=np.float64)
-        self._classes = np.empty(cap, dtype=np.int64)
+        self._vecs = np.empty((32, dim))
+        self._classes = np.empty(32, dtype=np.int64)
         self._n = 0
         self.class_set: set[int] = set()
 
@@ -132,39 +133,29 @@ class UserStore:
         if v.shape != (self.dim,):
             raise DimensionMismatchError(
                 f"expected dim {self.dim}, got shape {v.shape}")
-        if self._n == self._vecs32.shape[0]:
-            self._grow()
+        if self._n == len(self._classes):
+            # new arrays, so views handed out earlier keep their rows
+            self._vecs = np.resize(self._vecs, (2 * self._n, self.dim))
+            self._classes = np.resize(self._classes, 2 * self._n)
         # the row past the end is not visible until _n moves
-        row = self._vecs64[self._n]
+        row = self._vecs[self._n]
         row[:] = v
         check_unit(row)
-        self._vecs32[self._n] = v
         self._classes[self._n] = class_id
         self._n += 1
         self.class_set.add(int(class_id))
-
-    def _grow(self) -> None:
-        cap = self._vecs32.shape[0] * 2
-        for name in ("_vecs32", "_vecs64"):
-            old = getattr(self, name)
-            new = np.empty((cap, self.dim), dtype=old.dtype)
-            new[: self._n] = old[: self._n]
-            setattr(self, name, new)
-        classes = np.empty(cap, dtype=np.int64)
-        classes[: self._n] = self._classes[: self._n]
-        self._classes = classes
 
     def __len__(self) -> int:
         return self._n
 
     @property
     def vectors(self) -> np.ndarray:
-        """float32 view of the stored embeddings, in insertion order."""
-        return self._vecs32[: self._n]
+        """float32 copy of the stored embeddings, in insertion order."""
+        return self._vecs[: self._n].astype(np.float32)
 
     @property
     def vectors64(self) -> np.ndarray:
-        return self._vecs64[: self._n]
+        return self._vecs[: self._n]
 
     @property
     def classes(self) -> np.ndarray:

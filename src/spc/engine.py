@@ -99,77 +99,70 @@ def class_similarity(class_id: int, query, store) -> float:
     Returns exactly 0.0 when the store holds no vector of that class.
     `store` may be a UserStore or a PrototypeSet.
     """
-    if isinstance(store, PrototypeSet):
-        q = _query64(query, store.dim)
-        mask = store.class_ids == class_id
-        if not mask.any():
-            return 0.0
-        return float(np.max(store.matrix64[mask] @ q))
     q = _query64(query, store.dim)
-    mask = store.classes == class_id
+    vecs, classes = ((store.matrix64, store.class_ids)
+                     if isinstance(store, PrototypeSet)
+                     else (store.vectors64, store.classes))
+    mask = classes == class_id
     if not mask.any():
         return 0.0
-    return float(np.max(store.vectors64[mask] @ q))
+    return float(np.max(vecs[mask] @ q))
 
 
-def _aggregate_scores(dots_u, cls_u, dots_m, ids_m):
-    """Per-class max of user dots plus prototype dots, absent classes 0.
+def _gather_scores(query, store: UserStore | None, protos: PrototypeSet | None,
+                   counter: DotCounter | None):
+    """Per-class max of the user dots and the prototype dots, absent
+    classes 0.
 
-    Returns (candidate ids, user score, proto score, user-presence flags).
+    Returns (candidate ids, user score, proto score, user-presence flags,
+    whether any prototype was scored).
     """
-    n_user = 0 if dots_u is None else len(dots_u)
-    n_proto = 0 if dots_m is None else len(dots_m)
+    dims = {s.dim for s in (store, protos) if s is not None}
+    if not dims:
+        raise SpcError("nothing to predict: no user store and no prototypes")
+    if len(dims) > 1:
+        raise DimensionMismatchError("store/prototype dimension mismatch")
+    q = _query64(query, dims.pop())
+    n_user = len(store) if store is not None else 0
+    n_proto = len(protos) if protos is not None else 0
     if n_user == 0 and n_proto == 0:
         raise SpcError("nothing to predict: empty class union")
-    max_id = -1
-    if n_user:
-        max_id = max(max_id, int(cls_u.max()))
-    if n_proto:
-        max_id = max(max_id, int(ids_m.max()))
-    size = max_id + 1
+    size = 1 + max(int(store.classes.max()) if n_user else -1,
+                   int(protos.class_ids.max()) if n_proto else -1)
 
+    # every dot is finite (unit vectors are checked), so -inf marks the
+    # classes with no user vector
     su = np.full(size, -np.inf)
-    in_user = np.zeros(size, dtype=bool)
     if n_user:
-        np.maximum.at(su, cls_u, dots_u)
-        in_user[cls_u] = True
-
+        np.maximum.at(su, store.classes, store.vectors64 @ q)
+    in_user = su > -np.inf
+    su[~in_user] = 0.0
     sm = np.zeros(size)
     in_proto = np.zeros(size, dtype=bool)
     if n_proto:
-        sm[ids_m] = dots_m
-        in_proto[ids_m] = True
+        sm[protos.class_ids] = protos.matrix64 @ q
+        in_proto[protos.class_ids] = True
 
+    if counter is not None:
+        counter.add(n_user + n_proto)
     cand = np.flatnonzero(in_user | in_proto)
-    s_user = np.where(in_user[cand], su[cand], 0.0)
-    s_proto = np.where(in_proto[cand], sm[cand], 0.0)
-    return cand, s_user, s_proto, in_user[cand]
-
-
-def _gather_scores(query, store: UserStore | None, protos: PrototypeSet | None):
-    """Per-call scoring plumbing: compute dots, then aggregate per class."""
-    dims = [s.dim for s in (store, protos) if s is not None]
-    if not dims:
-        raise SpcError("nothing to predict: no user store and no prototypes")
-    dim = dims[0]
-    if any(d != dim for d in dims):
-        raise DimensionMismatchError("store/prototype dimension mismatch")
-    q = _query64(query, dim)
-
-    n_user = len(store) if store is not None else 0
-    n_proto = len(protos) if protos is not None else 0
-    dots_u = store.vectors64 @ q if n_user else None
-    cls_u = store.classes if n_user else None
-    dots_m = protos.matrix64 @ q if n_proto else None
-    ids_m = protos.class_ids if n_proto else None
-    cand, s_user, s_proto, user_flags = _aggregate_scores(
-        dots_u, cls_u, dots_m, ids_m)
-    return cand, s_user, s_proto, user_flags, n_user + n_proto, n_proto > 0
+    return cand, su[cand], sm[cand], in_user[cand], n_proto > 0
 
 
 def _sorted_ranking(cand, scores, user_flags) -> Ranking:
     order = np.lexsort((cand, ~user_flags, -scores))
     return Ranking(class_ids=cand[order], scores=scores[order])
+
+
+def _rank_rows(query, dim: int, matrix, class_ids,
+               counter: DotCounter | None) -> Ranking:
+    """Rank class_ids by the similarity of their rows of matrix to the
+    query, no class counting as user-present."""
+    q = _query64(query, dim)
+    if counter is not None:
+        counter.add(len(class_ids))
+    return _sorted_ranking(class_ids, matrix @ q,
+                           np.zeros(len(class_ids), dtype=bool))
 
 
 def spc_rank(query, store: UserStore | None, protos: PrototypeSet | None,
@@ -180,10 +173,8 @@ def spc_rank(query, store: UserStore | None, protos: PrototypeSet | None,
     so the scores are the raw per-class user similarities (which keeps the
     user-only reduction exact even for negative similarities).
     """
-    cand, s_user, s_proto, user_flags, ndots, has_protos = _gather_scores(
-        query, store, protos)
-    if counter is not None:
-        counter.add(ndots)
+    cand, s_user, s_proto, user_flags, has_protos = _gather_scores(
+        query, store, protos, counter)
     scores = np.maximum(s_user, cfg.w * s_proto) if has_protos else s_user
     return _sorted_ranking(cand, scores, user_flags)
 
@@ -191,10 +182,8 @@ def spc_rank(query, store: UserStore | None, protos: PrototypeSet | None,
 def spc_sum_rank(query, store: UserStore | None, protos: PrototypeSet | None,
                  cfg: SumConfig, counter: DotCounter | None = None) -> Ranking:
     """Linear-combination ranking over C_u ∪ C_m."""
-    cand, s_user, s_proto, user_flags, ndots, _ = _gather_scores(
-        query, store, protos)
-    if counter is not None:
-        counter.add(ndots)
+    cand, s_user, s_proto, user_flags, _ = _gather_scores(
+        query, store, protos, counter)
     scores = (1.0 - cfg.w_s) * s_user + cfg.w_s * s_proto
     return _sorted_ranking(cand, scores, user_flags)
 
@@ -204,12 +193,8 @@ def ncm_rank(query, protos: PrototypeSet,
     """Nearest-class-mean ranking over the prototype classes only."""
     if protos is None or len(protos) == 0:
         raise SpcError("empty prototype set")
-    q = _query64(query, protos.dim)
-    if counter is not None:
-        counter.add(len(protos))
-    scores = protos.matrix64 @ q
-    flags = np.zeros(len(protos), dtype=bool)
-    return _sorted_ranking(protos.class_ids.copy(), scores, flags)
+    return _rank_rows(query, protos.dim, protos.matrix64, protos.class_ids,
+                      counter)
 
 
 def register(store: UserStore, vec, class_id: int) -> UserStore:
@@ -288,10 +273,6 @@ class MeanState:
         state._exposed = unit_means(acc, count, ids)
         return state
 
-    def _mean(self, class_id: int) -> np.ndarray:
-        return unit_means(self._acc[class_id][None], self._count[class_id],
-                          (class_id,))[0]
-
     def _row(self, class_id: int) -> int:
         return int(np.searchsorted(self._ids, class_id))
 
@@ -302,17 +283,17 @@ class MeanState:
                 f"expected dim {self.dim}, got shape {v.shape}")
         check_unit(v)
         class_id = int(class_id)
-        if class_id in self._acc:
-            self._acc[class_id] = self._acc[class_id] + v
-            self._count[class_id] += 1
-            self._exposed[self._row(class_id)] = self._mean(class_id)
+        known = class_id in self._acc
+        self._acc[class_id] = self._acc[class_id] + v if known else v.copy()
+        self._count[class_id] = self._count.get(class_id, 0) + 1
+        mean = unit_means(self._acc[class_id][None], self._count[class_id],
+                          (class_id,))[0]
+        row = self._row(class_id)
+        if known:
+            self._exposed[row] = mean
         else:
-            self._acc[class_id] = v.copy()
-            self._count[class_id] = 1
-            row = self._row(class_id)
             self._ids = np.insert(self._ids, row, class_id)
-            self._exposed = np.insert(self._exposed, row,
-                                      self._mean(class_id), axis=0)
+            self._exposed = np.insert(self._exposed, row, mean, axis=0)
         return self
 
     def count(self, class_id: int) -> int:
@@ -326,12 +307,7 @@ class MeanState:
     def rank(self, query, counter: DotCounter | None = None) -> Ranking:
         if not len(self._ids):
             raise SpcError("empty mean state")
-        q = _query64(query, self.dim)
-        if counter is not None:
-            counter.add(len(self._ids))
-        scores = self._exposed @ q
-        flags = np.zeros(len(self._ids), dtype=bool)
-        return _sorted_ranking(self._ids, scores, flags)
+        return _rank_rows(query, self.dim, self._exposed, self._ids, counter)
 
 
 def ncm_update(state: MeanState, vec, class_id: int) -> MeanState:

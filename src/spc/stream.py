@@ -58,8 +58,8 @@ class Strategy:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise SpcError(f"unknown strategy kind {self.kind!r}")
-        if self.kind in ("spc", "1nn"):
-            SpcConfig(self.w if self.kind == "spc" else 1.0)
+        if self.kind == "spc":
+            SpcConfig(self.w)
         if self.kind == "spc-sum":
             SumConfig(self.w_s)
         if self.kind == "ncm-incr" and self.mean_mode not in (
@@ -169,29 +169,18 @@ class _UserHits:
 def _running_means(queries, ids, rows, seed_rows, seed_acc, seed_count):
     """Each record's class mean after absorbing the record, in t order.
 
-    The per-class sums are MeanState's: sequential in float64, one record
-    added at a time. They run vectorized over the classes, with one loop
-    over each class's occurrence index k.
+    MeanState's rule, applied one record at a time: a new class starts from
+    the record, a known class adds the record to its float64 sum.
     """
-    T, dim = queries.shape
-    # -0.0 + v is v bit for bit, as MeanState copies a new class's first
-    # vector
-    acc = np.full((len(ids), dim), -0.0)
-    acc[seed_rows] = seed_acc
-    count = np.zeros(len(ids), dtype=np.int64)
-    count[seed_rows] = seed_count
-    order = np.argsort(rows, kind="stable")
-    starts = np.flatnonzero(np.diff(rows[order], prepend=-1))
-    occ = np.empty(T, dtype=np.intp)
-    occ[order] = np.arange(T) - np.repeat(starts, np.diff(starts, append=T))
-    by_k = np.argsort(occ, kind="stable")
+    acc = dict(zip(seed_rows.tolist(), seed_acc))
+    count = dict(zip(seed_rows.tolist(), seed_count.tolist()))
     sums = np.empty_like(queries)
-    for j in np.split(by_k, np.cumsum(np.bincount(occ))[:-1]):
-        # the records of one k belong to distinct classes
-        c = rows[j]
-        acc[c] += queries[j]
-        sums[j] = acc[c]
-    return unit_means(sums, count[rows] + occ + 1, ids[rows])
+    counts = np.empty(len(queries), dtype=np.int64)
+    for t, c in enumerate(rows.tolist()):
+        acc[c] = acc[c] + queries[t] if c in acc else queries[t]
+        count[c] = count.get(c, 0) + 1
+        sums[t], counts[t] = acc[c], count[c]
+    return unit_means(sums, counts, ids[rows])
 
 
 def _mean_scores(queries, ids, rows, protos, strategy):

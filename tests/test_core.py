@@ -115,9 +115,15 @@ class TestUserStore:
         snapshots = []
         for i in range(100):
             store.append(normalize(rng.standard_normal(4)), i % 7)
-            snapshots.append(store.vectors.copy())
-        for i, snap in enumerate(snapshots):
-            np.testing.assert_array_equal(store.vectors[: i + 1], snap)
+            snapshots.append((store.vectors, store.vectors64.copy(),
+                              store.classes.copy()))
+        for i, (vecs, vecs64, classes) in enumerate(snapshots):
+            np.testing.assert_array_equal(store.vectors[: i + 1], vecs)
+            np.testing.assert_array_equal(store.vectors64[: i + 1], vecs64)
+            np.testing.assert_array_equal(store.classes[: i + 1], classes)
+        assert store.vectors.dtype == np.float32
+        np.testing.assert_array_equal(
+            store.vectors, store.vectors64.astype(np.float32))
 
     def test_class_set_matches_entries(self):
         rng = np.random.default_rng(1)

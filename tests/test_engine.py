@@ -30,6 +30,10 @@ def q():
     return unit2(1, 0)
 
 
+RANKERS = [(spc_rank, SpcConfig(0.85)), (spc_sum_rank, SumConfig(0.5))]
+RANKER_IDS = ["spc_rank", "spc_sum_rank"]
+
+
 class TestConfigs:
     def test_w_range(self):
         SpcConfig(1.0)
@@ -113,9 +117,23 @@ class TestSpcRank:
             r = spc_rank(query, UserStore(8), protos, SpcConfig(w))
             np.testing.assert_array_equal(r.class_ids, ncm_order)
 
-    def test_empty_everything_is_an_error(self, q):
-        with pytest.raises(SpcError):
-            spc_rank(q, UserStore(2), PrototypeSet(2), SpcConfig(0.85))
+    @pytest.mark.parametrize("rank,cfg", RANKERS, ids=RANKER_IDS)
+    @pytest.mark.parametrize("store,protos", [
+        (None, None), (UserStore(2), None), (None, PrototypeSet(2)),
+        (UserStore(2), PrototypeSet(2))],
+        ids=["none", "empty-store", "empty-prototypes", "both-empty"])
+    def test_empty_everything_is_an_error(self, q, rank, cfg, store, protos):
+        with pytest.raises(SpcError, match="nothing to predict"):
+            rank(q, store, protos, cfg)
+
+    @pytest.mark.parametrize("rank,cfg", RANKERS, ids=RANKER_IDS)
+    def test_store_prototype_dim_mismatch(self, q, rank, cfg):
+        store = UserStore(2)
+        store.append(q, 0)
+        protos = PrototypeSet(3, class_ids=[1],
+                              vectors=[normalize([1.0, 0.0, 0.0])])
+        with pytest.raises(DimensionMismatchError):
+            rank(q, store, protos, cfg)
 
     def test_scores_non_increasing(self):
         rng = np.random.default_rng(5)

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from spc import (SubsetSpec, SynthConfig, TrainIndex, build_prototypes,
                  evaluate, generate_synthetic, group_by_user, render_report,
                  select_classes)
@@ -13,9 +15,11 @@ from spc import (SubsetSpec, SynthConfig, TrainIndex, build_prototypes,
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_benchmark.py"
 
 
-def test_eval_reports_match_the_library(tmp_path):
+@pytest.mark.parametrize("fmt,ext", [("tsv", "tsv"), ("markdown", "md")],
+                         ids=["tsv", "markdown"])
+def test_eval_reports_match_the_library(tmp_path, fmt, ext):
     subprocess.run([sys.executable, str(SCRIPT), "--users", "4",
-                    "--out-dir", str(tmp_path)],
+                    "--out-dir", str(tmp_path), "--format", fmt],
                    check=True, capture_output=True, timeout=300)
     strategies = runpy.run_path(str(SCRIPT))["STRATEGIES"]
 
@@ -24,16 +28,11 @@ def test_eval_reports_match_the_library(tmp_path):
         train, select_classes(TrainIndex.from_records(train), SubsetSpec()),
         SubsetSpec())
     streams = group_by_user(stream)
-    want = {s.label(): render_report(
-                evaluate(streams, protos, s).to_table(s.label()))
-            for s in strategies}
+    want = [render_report(evaluate(streams, protos, s).to_table(s.label()),
+                          fmt=fmt).encode("utf-8")
+            for s in strategies]
 
-    written = sorted(tmp_path.glob("eval-*.tsv"))
-    assert len(written) == len(strategies)
-    for path in written:
-        data = path.read_bytes()
-        # the first row of a report is labeled with its strategy
-        label = data.decode("utf-8").splitlines()[1].split("\t")[0]
-        assert data == want.pop(label).encode("utf-8"), path.name
-    assert (tmp_path / "sweep-w.tsv").exists()
-    assert (tmp_path / "cv-w.tsv").exists()
+    written = sorted(tmp_path.glob(f"eval-*.{ext}"))
+    assert sorted(path.read_bytes() for path in written) == sorted(want)
+    assert (tmp_path / f"sweep-w.{ext}").exists()
+    assert (tmp_path / f"cv-w.{ext}").exists()
