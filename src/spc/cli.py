@@ -1,4 +1,6 @@
-"""Command-line surface: synth, build-prototypes, eval, sweep, cv.
+"""Command-line surface: synth, build-prototypes, eval, sweep, cv, and bench,
+the paper's full experiment (every strategy, the w sweep and its
+cross-validated choice) on a synthetic benchmark built in memory.
 
 Every subcommand that draws randomness takes a single --seed; errors go to
 stderr with a machine-parsable "spc: error:" prefix and a nonzero exit.
@@ -7,6 +9,7 @@ stderr with a machine-parsable "spc: error:" prefix and a nonzero exit.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -20,6 +23,21 @@ from .prototypes import SubsetSpec, TrainIndex, build_prototypes, coverage, \
 from .stream import (Strategy, cross_validate_w, evaluate, group_by_user,
                      sweep_table, sweep_w, sweep_ws)
 from .synth import SynthConfig, generate_synthetic
+
+# --strategy name -> the strategy at its default settings, in report order
+STRATEGIES = {
+    "spc": Strategy(kind="spc", w=0.85),
+    "spc-sum": Strategy(kind="spc-sum", w_s=0.5),
+    "1nn": Strategy(kind="1nn"),
+    "1nn-star": Strategy(kind="1nn-star"),
+    "ncm-fixed": Strategy(kind="ncm-fixed"),
+    "ncm-incr:full": Strategy(kind="ncm-incr",
+                              mean_mode=MeanState.FULL_HISTORY),
+    "ncm-incr:one": Strategy(kind="ncm-incr", mean_mode=MeanState.MEAN_AS_ONE),
+}
+# --format value -> file extension
+FORMATS = {"tsv": "tsv", "markdown": "md"}
+BENCH_W_GRID = "0.70:0.05:1.00"
 
 
 class UsageError(SpcError):
@@ -64,26 +82,17 @@ def parse_topk(spec: str) -> tuple[int, ...]:
 
 def parse_strategy(name: str, w: float | None, ws: float | None,
                    learn: bool = True) -> Strategy:
-    base = {"learn": learn}
-    if name == "spc":
-        return Strategy(kind="spc", w=0.85 if w is None else w, **base)
-    if name == "spc-sum":
-        if ws is None:
-            raise UsageError("spc-sum needs --ws")
-        if w is not None:
-            raise UsageError("--w does not apply to spc-sum")
-        return Strategy(kind="spc-sum", w_s=ws, **base)
-    if w is not None or ws is not None:
-        raise UsageError(f"--w/--ws do not apply to strategy {name!r}")
-    if name in ("ncm-fixed", "1nn", "1nn-star"):
-        return Strategy(kind=name, **base)
-    if name == "ncm-incr:full":
-        return Strategy(kind="ncm-incr", mean_mode=MeanState.FULL_HISTORY,
-                        **base)
-    if name == "ncm-incr:one":
-        return Strategy(kind="ncm-incr", mean_mode=MeanState.MEAN_AS_ONE,
-                        **base)
-    raise UsageError(f"unknown strategy {name!r}")
+    if name not in STRATEGIES:
+        raise UsageError(f"unknown strategy {name!r}")
+    base = STRATEGIES[name]
+    if base.kind == "spc-sum" and ws is None:
+        raise UsageError("spc-sum needs --ws")
+    for flag, value, kind in (("--w", w, "spc"), ("--ws", ws, "spc-sum")):
+        if value is not None and base.kind != kind:
+            raise UsageError(f"{flag} does not apply to strategy {name!r}")
+    weights = {key: value for key, value in (("w", w), ("w_s", ws))
+               if value is not None}
+    return dataclasses.replace(base, learn=learn, **weights)
 
 
 def cmd_synth(args) -> int:
@@ -187,6 +196,31 @@ def cmd_cv(args) -> int:
     return 0
 
 
+def cmd_bench(args) -> int:
+    train, stream, _, _ = generate_synthetic(
+        SynthConfig(users=args.users, seed=args.seed))
+    classes = select_classes(TrainIndex.from_records(train), SubsetSpec())
+    protos = build_prototypes(train, classes, SubsetSpec())
+    streams = group_by_user(stream)
+    grid = parse_grid(BENCH_W_GRID)
+    # a label such as "spc (w=0.85)" names the file eval-spc-w0.85
+    munge = str.maketrans("(", "-", " )=")
+    tables = [(f"eval-{s.label().translate(munge)}",
+               evaluate(streams, protos, s).to_table(s.label()))
+              for s in STRATEGIES.values()]
+    tables.append(("sweep-w", sweep_table(sweep_w(streams, protos, grid), "w",
+                                          (1, 5), 50)))
+    cv = cross_validate_w(streams, protos, grid, seed=args.seed)
+    tables.append(("cv-w", cv.to_table()))
+    os.makedirs(args.out_dir, exist_ok=True)
+    for name, table in tables:
+        path = os.path.join(args.out_dir, f"{name}.{FORMATS[args.format]}")
+        write_report(table, path, fmt=args.format)
+        print(f"wrote {path}")
+    print(f"chosen w = {cv.chosen_w:g}")
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spc",
@@ -224,13 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--topk", default="1,5")
         p.add_argument("--bucket", type=int, default=50)
         p.add_argument("--out", required=True)
-        p.add_argument("--format", choices=("tsv", "markdown"), default="tsv")
+        p.add_argument("--format", choices=FORMATS, default="tsv")
         p.add_argument("--precise", action="store_true")
 
     p = sub.add_parser("eval", help="replay streams through one strategy")
-    p.add_argument("--strategy", required=True,
-                   choices=("spc", "spc-sum", "ncm-fixed", "ncm-incr:full",
-                            "ncm-incr:one", "1nn", "1nn-star"))
+    p.add_argument("--strategy", required=True, choices=STRATEGIES)
     p.add_argument("--w", type=float, default=None)
     p.add_argument("--ws", type=float, default=None)
     p.add_argument("--no-learn", action="store_true",
@@ -253,9 +285,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prototypes", default=None)
     p.add_argument("--stream", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("tsv", "markdown"), default="tsv")
+    p.add_argument("--format", choices=FORMATS, default="tsv")
     p.add_argument("--precise", action="store_true")
     p.set_defaults(func=cmd_cv)
+
+    p = sub.add_parser("bench", help="run the full experiment on a synthetic "
+                       "benchmark: every strategy, the w sweep and cv")
+    p.add_argument("--users", type=int, default=200)
+    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--format", choices=FORMATS, default="tsv")
+    p.add_argument("--out-dir", required=True)
+    p.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -108,6 +108,8 @@ class LabeledRecord:
     def __post_init__(self):
         if self.t < 1:
             raise SpcError(f"record index t must be >= 1, got {self.t}")
+        if self.class_id < 0:
+            raise SpcError(f"class id must be >= 0, got {self.class_id}")
 
 
 class UserStore:
@@ -133,6 +135,8 @@ class UserStore:
         if v.shape != (self.dim,):
             raise DimensionMismatchError(
                 f"expected dim {self.dim}, got shape {v.shape}")
+        if class_id < 0:
+            raise SpcError(f"class id must be >= 0, got {class_id}")
         if self._n == len(self._classes):
             # new arrays, so views handed out earlier keep their rows
             self._vecs = np.resize(self._vecs, (2 * self._n, self.dim))
@@ -179,6 +183,11 @@ class PrototypeSet:
         vecs = np.asarray(vectors, dtype=np.float32).reshape(len(ids), dim)
         if len(set(ids.tolist())) != len(ids):
             raise SpcError("duplicate class id in prototype set")
+        if (ids < 0).any():
+            raise SpcError(f"class id must be >= 0, got {ids.min()}")
+        if counts and min(counts.values()) < 1:
+            raise SpcError(f"prototype count must be >= 1, got "
+                           f"{min(counts.values())}")
         matrix64 = vecs.astype(np.float64)
         bad = non_unit_rows(matrix64)
         if len(bad):

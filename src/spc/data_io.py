@@ -51,6 +51,12 @@ def _read_header(line: str, path, expected_format: str) -> dict:
     return header
 
 
+def _check_label(label, path, lineno: int) -> None:
+    if not isinstance(label, str) or not label:
+        raise FileFormatError(f"{path}:{lineno}: label must be a non-empty "
+                              f"string, got {label!r}")
+
+
 def write_records(records, path, normalize_on_load: bool = False,
                   registry: LabelRegistry | None = None,
                   dim: int | None = None) -> None:
@@ -94,6 +100,14 @@ def read_records(path, registry: LabelRegistry | None = None):
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
                 raise FileFormatError(f"{path}:{lineno}: malformed record: {e}") \
                     from None
+            if not isinstance(user, str):
+                raise FileFormatError(
+                    f"{path}:{lineno}: user must be a string, got {user!r}")
+            # bool is a subclass of int, and 1.0 would pass for 1
+            if type(t) is not int or t < 1:
+                raise FileFormatError(
+                    f"{path}:{lineno}: t must be an integer >= 1, got {t!r}")
+            _check_label(label, path, lineno)
             if vec.shape != (dim,):
                 raise FileFormatError(
                     f"{path}:{lineno}: vec length {vec.shape[0] if vec.ndim == 1 else '?'}"
@@ -105,7 +119,7 @@ def read_records(path, registry: LabelRegistry | None = None):
                     check_unit(vec)
                 except SpcError as e:
                     raise FileFormatError(f"{path}:{lineno}: {e}") from None
-            records.append(LabeledRecord(user=str(user), t=int(t),
+            records.append(LabeledRecord(user=user, t=t,
                                          class_id=registry.intern(label),
                                          vec=vec))
     return records, registry
@@ -141,11 +155,15 @@ def read_prototypes(path, registry: LabelRegistry | None = None):
                 continue
             try:
                 obj = json.loads(line)
-                label = obj["label"]
+                label, count = obj["label"], obj.get("count")
                 vec = np.asarray(obj["vec"], dtype=np.float32)
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
                 raise FileFormatError(f"{path}:{lineno}: malformed line: {e}") \
                     from None
+            _check_label(label, path, lineno)
+            if count is not None and (type(count) is not int or count < 1):
+                raise FileFormatError(f"{path}:{lineno}: count must be null "
+                                      f"or an integer >= 1, got {count!r}")
             if label in seen:
                 raise FileFormatError(f"{path}:{lineno}: duplicate label "
                                       f"{label!r}")
@@ -155,8 +173,8 @@ def read_prototypes(path, registry: LabelRegistry | None = None):
             cid = registry.intern(label)
             ids.append(cid)
             vecs.append(vec)
-            if obj.get("count") is not None:
-                counts[cid] = int(obj["count"])
+            if count is not None:
+                counts[cid] = count
     vectors = np.stack(vecs) if vecs else None
     return PrototypeSet(dim=dim, class_ids=ids, vectors=vectors,
                         counts=counts or None), registry

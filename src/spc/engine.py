@@ -66,9 +66,6 @@ class Ranking:
             raise SpcError("empty ranking")
         return int(self.class_ids[0])
 
-    def hit(self, true_class: int, k: int) -> bool:
-        return true_class in self.class_ids[:k]
-
     def pairs(self) -> list[tuple[int, float]]:
         return [(int(c), float(s)) for c, s in zip(self.class_ids, self.scores)]
 

@@ -521,19 +521,12 @@ def evaluate(streams: dict[str, list[LabeledRecord]],
                          bucket_width=bucket_width, k_list=k_list)
 
 
-def _grid_check(grid, lo: float, hi: float, lo_open: bool) -> list[float]:
-    grid = list(grid)
-    if not grid:
-        raise SpcError("empty parameter grid")
-    for v in grid:
-        if (v <= lo if lo_open else v < lo) or v > hi:
-            raise SpcError(f"grid value {v} out of range")
-    return grid
-
-
 def _sweep(streams, protos, strategies, k_list) -> list[dict[str, _UserHits]]:
     """Per-user hits of strategies that differ only in w or w_s, scored
     from one build of each user's class scores."""
+    if not strategies:
+        raise SpcError("empty parameter grid")
+
     def score_user(recs) -> list[_UserHits]:
         # one user's class scores are freed before the next user's are built
         _check_contiguous(recs)
@@ -548,22 +541,25 @@ def _sweep(streams, protos, strategies, k_list) -> list[dict[str, _UserHits]]:
             for i in range(len(strategies))]
 
 
+def _sweep_reports(streams, protos, kind, param, grid, k_list, bucket_width):
+    """One report per grid value of one weight; Strategy checks its range."""
+    grid = list(grid)
+    hits = _sweep(streams, protos,
+                  [Strategy(kind=kind, **{param: v}) for v in grid], k_list)
+    return [(v, _report(list(h.values()), bucket_width, k_list))
+            for v, h in zip(grid, hits)]
+
+
 def sweep_w(streams, protos, grid, k_list=(1, 5), bucket_width: int = 50):
     """One weighted-max evaluation per grid value, over identical streams."""
-    grid = _grid_check(grid, 0.0, 1.0, lo_open=True)
-    hits = _sweep(streams, protos, [Strategy(kind="spc", w=w) for w in grid],
-                  k_list)
-    return [(w, _report(list(h.values()), bucket_width, k_list))
-            for w, h in zip(grid, hits)]
+    return _sweep_reports(streams, protos, "spc", "w", grid, k_list,
+                          bucket_width)
 
 
 def sweep_ws(streams, protos, grid, k_list=(1, 5), bucket_width: int = 50):
     """One linear-combination evaluation per grid value."""
-    grid = _grid_check(grid, 0.0, 1.0, lo_open=False)
-    hits = _sweep(streams, protos,
-                  [Strategy(kind="spc-sum", w_s=ws) for ws in grid], k_list)
-    return [(ws, _report(list(h.values()), bucket_width, k_list))
-            for ws, h in zip(grid, hits)]
+    return _sweep_reports(streams, protos, "spc-sum", "w_s", grid, k_list,
+                          bucket_width)
 
 
 def sweep_table(results, param_name: str, k_list, bucket_width: int) -> ReportTable:
@@ -614,9 +610,11 @@ def cross_validate_w(streams, protos, grid, folds: int = 2,
     maximizes the across-fold average of held-out accuracy; ties go to the
     smaller value.
     """
-    grid = sorted(set(_grid_check(grid, 0.0, 1.0, lo_open=True)))
+    grid = sorted(set(grid))
     if folds < 2:
         raise SpcError("folds must be >= 2")
+    if objective_k < 1:
+        raise SpcError(f"objective_k must be >= 1, got {objective_k}")
     users = sorted(streams)
     if len(users) < folds:
         raise SpcError(f"need at least {folds} users, have {len(users)}")

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from spc import cli
+from spc import (SubsetSpec, SynthConfig, TrainIndex, build_prototypes, cli,
+                 cross_validate_w, evaluate, generate_synthetic, group_by_user,
+                 render_report, select_classes, sweep_table, sweep_w)
 
 
 def run(argv, capsys):
@@ -158,6 +160,25 @@ class TestEvalCommand:
         assert err.startswith("spc: error:") and ":6:" in err
         assert not report.exists()
 
+    @pytest.mark.parametrize("name,field,value",
+                             [("stream.records", "t", 1.7),
+                              ("common.protos", "count", 2.5)])
+    def test_bad_field_fails_without_a_report(self, bench, capsys, name,
+                                              field, value):
+        path = bench / name
+        lines = path.read_text().splitlines()
+        lines[1] = json.dumps({**json.loads(lines[1]), field: value})
+        path.write_text("\n".join(lines) + "\n")
+        report = bench / "x.tsv"
+        code, _, err = run(
+            ["eval", "--strategy", "spc",
+             "--prototypes", str(bench / "common.protos"),
+             "--stream", str(bench / "stream.records"),
+             "--out", str(report)], capsys)
+        assert code == 1
+        assert err.startswith(f"spc: error: {path}:2: {field} must be")
+        assert not report.exists()
+
     def test_markdown_format(self, bench, capsys):
         report = bench / "spc.md"
         code, _, _ = run(
@@ -215,3 +236,44 @@ class TestCvCommand:
                  "--seed", "1"], capsys)
             outs.append(stdout)
         assert outs[0] == outs[1]
+
+
+BENCH_FILES = ["eval-spc-w0.85", "eval-spc-sum-w_s0.5", "eval-1nn",
+               "eval-1nn-star", "eval-ncm-fixed", "eval-ncm-incr-full-history",
+               "eval-ncm-incr-mean-as-one", "sweep-w", "cv-w"]
+
+
+@pytest.fixture(scope="module")
+def bench_tables():
+    """The tables `spc bench --users 4` must write, in BENCH_FILES order,
+    and the chosen w, computed through the library."""
+    train, stream, _, _ = generate_synthetic(SynthConfig(users=4, seed=42))
+    protos = build_prototypes(
+        train, select_classes(TrainIndex.from_records(train), SubsetSpec()),
+        SubsetSpec())
+    streams = group_by_user(stream)
+    grid = [0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0]
+    tables = [evaluate(streams, protos, s).to_table(s.label())
+              for s in cli.STRATEGIES.values()]
+    tables.append(sweep_table(sweep_w(streams, protos, grid), "w", (1, 5), 50))
+    cv = cross_validate_w(streams, protos, grid, seed=42)
+    tables.append(cv.to_table())
+    return tables, cv.chosen_w
+
+
+class TestBenchCommand:
+    @pytest.mark.parametrize("fmt,ext", [("tsv", "tsv"), ("markdown", "md")],
+                             ids=["tsv", "markdown"])
+    def test_reports_match_the_library(self, tmp_path, capsys, bench_tables,
+                                       fmt, ext):
+        code, stdout, _ = run(["bench", "--users", "4", "--format", fmt,
+                               "--out-dir", str(tmp_path)], capsys)
+        assert code == 0
+        tables, chosen_w = bench_tables
+        paths = [tmp_path / f"{name}.{ext}" for name in BENCH_FILES]
+        assert sorted(tmp_path.iterdir()) == sorted(paths)
+        for path, table in zip(paths, tables):
+            assert path.read_bytes() == \
+                render_report(table, fmt=fmt).encode("utf-8"), path.name
+        assert stdout.splitlines() == [f"wrote {p}" for p in paths] + [
+            f"chosen w = {chosen_w:g}"]

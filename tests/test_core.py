@@ -4,8 +4,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from spc import (DimensionMismatchError, LabelRegistry, NormalizationError,
-                 PrototypeSet, SpcError, UserStore, normalize)
+from spc import (DimensionMismatchError, LabeledRecord, LabelRegistry,
+                 NormalizationError, PrototypeSet, SpcError, UserStore,
+                 normalize)
 from spc.core import check_unit
 
 
@@ -109,6 +110,12 @@ class TestUserStore:
             store.append(np.array([np.nan, np.nan], dtype=np.float32), 0)
         assert len(store) == 0
 
+    def test_negative_class_id_rejected(self):
+        store = UserStore(2)
+        with pytest.raises(SpcError, match="class id must be >= 0"):
+            store.append(normalize([1.0, 0.0]), -1)
+        assert len(store) == 0 and store.class_set == set()
+
     def test_append_never_mutates_prior_entries(self):
         rng = np.random.default_rng(0)
         store = UserStore(4)
@@ -157,3 +164,21 @@ class TestPrototypeSet:
 
     def test_empty_set_is_legal(self):
         assert len(PrototypeSet(8)) == 0
+
+    def test_negative_class_id_rejected(self):
+        with pytest.raises(SpcError, match="class id must be >= 0"):
+            PrototypeSet(2, class_ids=[-1, 3],
+                         vectors=[[1.0, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_count_below_one_rejected(self, count):
+        with pytest.raises(SpcError, match="count must be >= 1"):
+            PrototypeSet(2, class_ids=[0], vectors=[[1.0, 0.0]],
+                         counts={0: count})
+
+
+class TestLabeledRecord:
+    def test_negative_class_id_rejected(self):
+        with pytest.raises(SpcError, match="class id must be >= 0"):
+            LabeledRecord(user="u", t=1, class_id=-1,
+                          vec=normalize([1.0, 0.0]))

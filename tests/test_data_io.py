@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -147,6 +148,35 @@ class TestPrototypesRoundTrip:
         write_prototypes(protos, path)
         back, _ = read_prototypes(path)
         np.testing.assert_array_equal(protos.matrix, back.matrix)
+
+
+BAD_FIELDS = [
+    ("records", "t", "x"), ("records", "t", 0), ("records", "t", 1.7),
+    ("records", "t", True), ("records", "label", 5), ("records", "label", ""),
+    ("records", "user", 5), ("prototypes", "count", "x"),
+    ("prototypes", "count", 0), ("prototypes", "count", -3),
+    ("prototypes", "count", 2.5), ("prototypes", "count", True),
+    ("prototypes", "label", 5), ("prototypes", "label", ["c"]),
+]
+
+
+@pytest.mark.parametrize("kind,field,value", BAD_FIELDS,
+                         ids=[f"{k}-{f}={v!r}" for k, f, v in BAD_FIELDS])
+def test_bad_field_fails_with_line_number(tmp_path, kind, field, value):
+    read, header, good = {
+        "records": (read_records, {"format": "spc-records", "version": 1,
+                                   "dim": 2},
+                    {"user": "u", "t": 1, "label": "c", "vec": [0.6, 0.8]}),
+        "prototypes": (read_prototypes, {"format": "spc-prototypes",
+                                         "version": 1, "dim": 2},
+                       {"label": "c", "count": 3, "vec": [0.6, 0.8]}),
+    }[kind]
+    path = tmp_path / "bad"
+    path.write_text(json.dumps(header) + "\n"
+                    + json.dumps({**good, field: value}) + "\n")
+    with pytest.raises(FileFormatError,
+                       match=re.escape(f"{path}:2: {field} must be")):
+        read(path)
 
 
 class TestReports:

@@ -247,8 +247,14 @@ class TestBucketReport:
 class TestSweeps:
     def test_sweep_w_rejects_zero(self, synth):
         streams, protos = synth
-        with pytest.raises(SpcError):
+        with pytest.raises(SpcError, match=r"w must be in \(0, 1\], got 0.0"):
             sweep_w(streams, protos, [0.0, 0.5])
+
+    def test_empty_grid_rejected(self, synth):
+        streams, protos = synth
+        for sweep in (sweep_w, sweep_ws, cross_validate_w):
+            with pytest.raises(SpcError, match="empty parameter grid"):
+                sweep(streams, protos, [])
 
     def test_sweep_ws_allows_zero(self, synth):
         streams, protos = synth
@@ -309,6 +315,12 @@ class TestCrossValidation:
                     np.mean([per_user[w][u] for u in fold])
         best = min(self.GRID, key=lambda w: (-mean_held[w], w))
         assert result.chosen_w == best
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_objective_k_validated(self, synth, k):
+        streams, protos = synth
+        with pytest.raises(SpcError, match="objective_k must be >= 1"):
+            cross_validate_w(streams, protos, self.GRID, objective_k=k)
 
     def test_fold_count_validated(self, synth):
         streams, protos = synth
