@@ -7,12 +7,12 @@ from .data_io import (FileFormatError, ReportTable, read_prototypes,
                       read_records, render_report, write_manifest,
                       write_prototypes, write_records, write_report)
 from .engine import (DotCounter, MeanState, Ranking, SpcConfig, SumConfig,
-                     class_similarity, ncm_rank, ncm_update, register,
-                     spc_rank, spc_sum_rank)
+                     class_similarity, ncm_rank, register, spc_rank,
+                     spc_sum_rank)
 from .prototypes import (SubsetSpec, TrainIndex, build_prototypes, coverage,
-                         estimate_real_world_accuracy, select_classes)
-from .stream import (BucketReport, CvResult, Outcome, Strategy, bucket_report,
-                     cross_validate_w, evaluate, group_by_user, mean_accuracy,
+                         select_classes)
+from .stream import (BucketReport, CvResult, Outcome, Strategy, UserResult,
+                     bucket_report, cross_validate_w, evaluate, group_by_user,
                      run_streams, run_user_stream, sweep_table, sweep_w,
                      sweep_ws)
 from .synth import SynthConfig, generate_synthetic
@@ -20,14 +20,13 @@ from .synth import SynthConfig, generate_synthetic
 __all__ = [
     "BucketReport", "CvResult", "DimensionMismatchError", "DotCounter",
     "FileFormatError", "LabelRegistry", "LabeledRecord", "MeanState",
-    "NormalizationError", "Outcome", "PrototypeSet", "Ranking", "ReportTable",
-    "SpcConfig", "SpcError", "Strategy", "SubsetSpec", "SumConfig",
-    "SynthConfig", "TrainIndex", "UserStore", "bucket_report",
-    "build_prototypes", "class_similarity", "coverage", "cross_validate_w",
-    "estimate_real_world_accuracy", "evaluate", "generate_synthetic",
-    "group_by_user", "mean_accuracy", "ncm_rank", "ncm_update", "normalize",
-    "read_prototypes", "read_records", "register", "render_report",
-    "run_streams", "run_user_stream", "select_classes", "spc_rank",
-    "spc_sum_rank", "sweep_table", "sweep_w", "sweep_ws", "write_manifest",
-    "write_prototypes", "write_records", "write_report",
+    "NormalizationError", "Outcome", "PrototypeSet", "Ranking",
+    "ReportTable", "SpcConfig", "SpcError", "Strategy", "SubsetSpec",
+    "SumConfig", "SynthConfig", "TrainIndex", "UserResult", "UserStore",
+    "bucket_report", "build_prototypes", "class_similarity", "coverage",
+    "cross_validate_w", "evaluate", "generate_synthetic", "group_by_user",
+    "ncm_rank", "normalize", "read_prototypes", "read_records", "register",
+    "render_report", "run_streams", "run_user_stream", "select_classes",
+    "spc_rank", "spc_sum_rank", "sweep_table", "sweep_w", "sweep_ws",
+    "write_manifest", "write_prototypes", "write_records", "write_report",
 ]

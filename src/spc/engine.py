@@ -305,8 +305,3 @@ class MeanState:
         if not len(self._ids):
             raise SpcError("empty mean state")
         return _rank_rows(query, self.dim, self._exposed, self._ids, counter)
-
-
-def ncm_update(state: MeanState, vec, class_id: int) -> MeanState:
-    """Fold one sample into the running per-class means."""
-    return state.update(vec, class_id)

@@ -1,6 +1,5 @@
 """Common-classifier construction: class selection by record count,
-per-class mean prototypes, coverage, and the coverage-weighted
-real-world accuracy estimate.
+per-class mean prototypes and coverage.
 """
 
 from __future__ import annotations
@@ -58,14 +57,6 @@ def coverage(subset: set[int], index: TrainIndex) -> float:
     if unknown:
         raise SpcError(f"subset classes not in index: {sorted(unknown)[:5]}")
     return sum(index.counts[c] for c in subset) / index.total
-
-
-def estimate_real_world_accuracy(acc_within: float, cov: float) -> float:
-    """Accuracy within the subset discounted by the subset's coverage."""
-    for name, v in (("acc_within", acc_within), ("coverage", cov)):
-        if not (0.0 <= v <= 1.0):
-            raise SpcError(f"{name} must be in [0, 1], got {v}")
-    return acc_within * cov
 
 
 def build_prototypes(records: Sequence[LabeledRecord], classes: set[int],

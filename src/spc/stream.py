@@ -1,33 +1,27 @@
 """Prequential stream evaluation: replay each user's records through a
-strategy (predict, score, then learn the true label), log per-record
-outcomes, and aggregate them into bucketed report tables.
+strategy (predict, score, then learn the true label) and aggregate the
+per-record results into bucketed report tables.
 
-The harness itself tracks which classes a user has seen so far; the
-in-union flag therefore reflects the protocol's bookkeeping even for
-strategies that do not learn.
+A user's results are one columnar UserResult: per record, the 0-based rank
+position of the true class (a hit at k is rank < k), the predicted class
+and the upper-limit flags. Reports, sweeps and cross-validation read these
+arrays directly; Outcome objects are built only when a caller indexes or
+iterates a result. The in-union flag is the harness's own bookkeeping, so
+it holds even for strategies that do not learn.
 
-Every strategy is replayed by one whole-stream evaluator per user rather
-than step by step. Because the store at step t holds exactly records
-1..t-1, the per-class similarities behind every score form |U| x T arrays
-over the user's class union U and the steps. For the nearest-neighbor
-family (spc, spc-sum, 1nn, 1nn-star) they are the prefix max of user
-similarities, the prototype similarities and the presence flags; none
-depends on w or w_s, so a strategy's scores are one elementwise
-combination of them. ncm-fixed scores the prototype similarities alone.
-ncm-incr scores a matrix of mean versions: a user's running class means
-change only at the user's own records, so they take |P| + T versions (the
-seeded prototypes, then each record's class mean after absorbing it), and
-an index array picks the version each class exposes at each step. The
-true class's rank position is then a count rather than a sort. Query
-columns are scored GRAM_BLOCK at a time, so memory is
-O(|U| T + (|P| + T) (dim + B)) and no T x T array is allocated. The w and w_s
-sweeps and cross-validation build each user's arrays once and re-score
-them for every grid value.
+Every strategy is replayed by one whole-stream evaluator per user
+(_ClassScores) rather than step by step: since the store at step t holds
+exactly records 1..t-1, every score comes from |U| x T arrays over the
+user's class union U and the steps, which do not depend on w or w_s. The
+true class's rank position is a count rather than a sort, and query
+columns are scored GRAM_BLOCK at a time, so no T x T array is allocated.
+The w and w_s sweeps and cross-validation build each user's arrays once
+and re-score them for every grid value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -78,7 +72,8 @@ class Strategy:
 
 @dataclass(frozen=True, slots=True)
 class Outcome:
-    """Per-record evaluation result."""
+    """One record's evaluation result: a view of one row of a UserResult,
+    built on demand when the result is indexed or iterated."""
 
     user: str
     t: int
@@ -89,19 +84,70 @@ class Outcome:
     predicted: int | None
 
 
-def _check_contiguous(records: Sequence[LabeledRecord]) -> None:
-    for i, rec in enumerate(records, start=1):
-        if rec.t != i:
-            raise SpcError(
-                f"user {records[0].user!r}: stream t values not contiguous "
-                f"(expected {i}, got {rec.t})")
+# rank position of a true class that is not among the candidates
+MISS = np.iinfo(np.intp).max
+
+
+@dataclass(frozen=True, eq=False)
+class UserResult:
+    """One user's evaluation results as columns in t order.
+
+    rank is the 0-based rank position of the true class, MISS where it was
+    not a candidate, so a hit at k is rank < k. predicted is the top-1
+    class id, -1 where nothing was ranked; the results a sweep builds hold
+    None there, since sweeps skip the top-1.
+
+    Indexing and iteration give Outcome views, built on demand; a slice
+    is a UserResult. == compares what lists of the Outcome views would
+    (rank only through the hits at k_list), and with such a list too.
+    """
+
+    user: str
+    k_list: tuple[int, ...]
+    t: np.ndarray
+    true_class: np.ndarray
+    rank: np.ndarray
+    predicted: np.ndarray | None
+    in_initial: np.ndarray
+    in_union: np.ndarray
+
+    COLUMNS = ("t", "true_class", "rank", "predicted", "in_initial",
+               "in_union")
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __iter__(self):
+        columns = (getattr(self, name).tolist() for name in self.COLUMNS)
+        for t, cls, pos, top, ini, uni in zip(*columns):
+            yield Outcome(user=self.user, t=t, true_class=cls,
+                          hits={k: pos < k for k in self.k_list},
+                          in_initial=ini, in_union=uni,
+                          predicted=None if top < 0 else top)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return replace(self, **{
+                name: col[i] for name in self.COLUMNS
+                if (col := getattr(self, name)) is not None})
+        return list(self[i:i + 1 or None])[0]
+
+    def __eq__(self, other):
+        if isinstance(other, list):
+            return list(self) == other
+        if not isinstance(other, UserResult):
+            return NotImplemented
+        return (self.user == other.user and self.k_list == other.k_list
+                and all(np.array_equal(getattr(self, name),
+                                       getattr(other, name))
+                        for name in self.COLUMNS if name != "rank")
+                and all(np.array_equal(self.rank < k, other.rank < k)
+                        for k in self.k_list))
 
 
 # Query columns of the Gram matrix are computed this many at a time, so a
 # replay holds O(B * T) Gram entries and never a T x T array.
 GRAM_BLOCK = 128
-# rank position of a true class that is not among the candidates
-MISS = np.iinfo(np.intp).max
 
 
 def _check_shapes(records, dim: int) -> None:
@@ -147,23 +193,25 @@ def _prefix_max(queries, rows, su) -> None:
         su[r[starts], b0:b1] = np.maximum.reduceat(gram[sel], starts, axis=0)
 
 
-def _upper_limit_flags(records, protos) -> tuple[np.ndarray, np.ndarray]:
-    """Per record: its class is an initial (prototype) class; its class is
-    initial or appeared earlier in the stream."""
-    initial = protos.class_set if protos is not None else set()
-    cls = [rec.class_id for rec in records]
-    in_initial = np.array([c in initial for c in cls], dtype=bool)
+def _columns(records, protos) -> dict:
+    """The UserResult fields that do not depend on the strategy, once t is
+    checked to run 1..T. Per record, in_initial: its class is an initial
+    (prototype) class; in_union: its class is initial or appeared earlier
+    in the stream."""
+    T = len(records)
+    t = np.fromiter((rec.t for rec in records), dtype=np.int64, count=T)
+    gaps = np.flatnonzero(t != np.arange(1, T + 1))
+    if len(gaps):
+        raise SpcError(
+            f"user {records[0].user!r}: stream t values not contiguous "
+            f"(expected {gaps[0] + 1}, got {t[gaps[0]]})")
+    cls = np.fromiter((rec.class_id for rec in records), dtype=np.int64,
+                      count=T)
+    in_initial = np.isin(cls, protos.class_ids if protos is not None else [])
     _, first, inverse = np.unique(cls, return_index=True, return_inverse=True)
-    return in_initial, in_initial | (first[inverse] < np.arange(len(cls)))
-
-
-@dataclass
-class _UserHits:
-    """One user's per-record hits by k and upper-limit flags, in t order."""
-
-    hits: dict[int, np.ndarray]
-    in_initial: np.ndarray
-    in_union: np.ndarray
+    return dict(user=records[0].user if records else "",
+                t=t, true_class=cls, in_initial=in_initial,
+                in_union=in_initial | (first[inverse] < np.arange(T)))
 
 
 def _running_means(queries, ids, rows, seed_rows, seed_acc, seed_count):
@@ -319,51 +367,51 @@ class _ClassScores:
                        top.argmax(axis=0))
         return np.where(top.any(axis=0), self.ids[row], -1)
 
-    def hits(self, strategy: Strategy, k_list) -> dict[int, np.ndarray]:
-        pos = self.rank(self.score(strategy))
-        return {k: pos < k for k in k_list}
 
-
-def _replay(records, protos, strategy, counter):
-    """Rank positions and predictions of a strategy over one stream."""
-    scores = _ClassScores(records, protos, strategy)
+def _replay(records, protos, strategies, k_list, counter=None,
+            top1=True) -> list[UserResult]:
+    """One user's results under strategies that differ only in w or w_s,
+    scored from one build of the user's class scores."""
+    columns = _columns(records, protos)
+    if not records:
+        empty = np.empty(0, dtype=np.intp)
+        return [UserResult(k_list=tuple(k_list), rank=empty, predicted=empty,
+                           **columns) for _ in strategies]
+    scores = _ClassScores(records, protos, strategies[0])
     if counter is not None:
         # the dot products a per-call replay spends at each step
         if scores.means:
             dots = scores.cand.sum(axis=0)
         else:
             n_proto = len(protos) if scores.use_protos else 0
-            dots = np.arange(len(records)) * strategy.learn + n_proto
-        for n in dots.tolist():
-            if n:
-                counter.add(n)
-    score = scores.score(strategy)
-    return scores.rank(score).tolist(), scores.top1(score).tolist()
+            dots = np.arange(len(records)) * strategies[0].learn + n_proto
+        # steps that rank nothing make no ranking call
+        dots = dots[dots != 0]
+        counter.total += int(dots.sum())
+        counter.per_call.extend(dots.tolist())
+
+    def result(strategy) -> UserResult:
+        # a strategy's score array is freed before the next one is built
+        score = scores.score(strategy)
+        return UserResult(k_list=tuple(k_list), rank=scores.rank(score),
+                          predicted=scores.top1(score) if top1 else None,
+                          **columns)
+
+    return [result(strategy) for strategy in strategies]
 
 
 def run_user_stream(records: Sequence[LabeledRecord],
                     protos: PrototypeSet | None,
                     strategy: Strategy,
                     k_list: Sequence[int] = (1, 5),
-                    counter: DotCounter | None = None) -> list[Outcome]:
+                    counter: DotCounter | None = None) -> UserResult:
     """Replay one user's stream: predict, log, then register the true label.
 
     A record whose class cannot possibly be ranked (nothing stored yet and
     no prototypes) is logged as a miss with no prediction rather than an
     error; that is the 1-NN* cold start.
     """
-    records = list(records)
-    if not records:
-        return []
-    _check_contiguous(records)
-    positions, predicted = _replay(records, protos, strategy, counter)
-    in_initial, in_union = _upper_limit_flags(records, protos)
-    return [Outcome(user=rec.user, t=rec.t, true_class=rec.class_id,
-                    hits={k: pos < k for k in k_list}, in_initial=ini,
-                    in_union=uni, predicted=None if top < 0 else top)
-            for rec, pos, top, ini, uni in zip(
-                records, positions, predicted, in_initial.tolist(),
-                in_union.tolist())]
+    return _replay(list(records), protos, [strategy], k_list, counter)[0]
 
 
 def group_by_user(records: Iterable[LabeledRecord]) -> dict[str, list[LabeledRecord]]:
@@ -376,32 +424,15 @@ def group_by_user(records: Iterable[LabeledRecord]) -> dict[str, list[LabeledRec
 
 def run_streams(streams: dict[str, list[LabeledRecord]],
                 protos: PrototypeSet | None, strategy: Strategy,
-                k_list: Sequence[int] = (1, 5)) -> dict[str, list[Outcome]]:
+                k_list: Sequence[int] = (1, 5)) -> dict[str, UserResult]:
     """Evaluate every user independently; users never share state."""
     return {user: run_user_stream(recs, protos, strategy, k_list)
             for user, recs in sorted(streams.items())}
 
 
-def mean_accuracy(outcomes: dict[str, list[Outcome]], t: int, k: int) -> float:
-    """Fraction of users whose record at index t was a top-k hit.
-
-    Users whose stream is shorter than t are excluded; if none reaches t,
-    that is an error.
-    """
-    hits, users = 0, 0
-    for user_outcomes in outcomes.values():
-        if t <= len(user_outcomes):
-            users += 1
-            if user_outcomes[t - 1].hits[k]:
-                hits += 1
-    if users == 0:
-        raise SpcError(f"no user has a record at t={t}")
-    return hits / users
-
-
 @dataclass
 class BucketReport:
-    """Bucketed aggregate of the per-record outcomes.
+    """Bucketed aggregate of the per-user results.
 
     accuracy[k][b] is the per-bucket average of the per-t mean accuracy;
     the upper-limit rows are the analogous rates of the true class being
@@ -424,22 +455,15 @@ class BucketReport:
     def to_table(self, label: str) -> ReportTable:
         columns = [f"t{lo}-t{hi} top-{k}"
                    for lo, hi in self.buckets for k in self.k_list]
-        nk = len(self.k_list)
+        cells = [(b, k) for b in range(len(self.buckets)) for k in self.k_list]
         rows = [
-            (label, [self.accuracy[k][b]
-                     for b in range(len(self.buckets)) for k in self.k_list]),
-            ("upper limit (initial)",
-             [self.in_initial[b] for b in range(len(self.buckets))
-              for _ in range(nk)]),
-            ("upper limit (union)",
-             [self.in_union[b] for b in range(len(self.buckets))
-              for _ in range(nk)]),
+            (label, [self.accuracy[k][b] for b, k in cells]),
+            ("upper limit (initial)", [self.in_initial[b] for b, _ in cells]),
+            ("upper limit (union)", [self.in_union[b] for b, _ in cells]),
             ("within initial classes",
-             [self.cond_initial[k][b]
-              for b in range(len(self.buckets)) for k in self.k_list]),
+             [self.cond_initial[k][b] for b, k in cells]),
             ("outside initial classes",
-             [self.cond_outside[k][b]
-              for b in range(len(self.buckets)) for k in self.k_list]),
+             [self.cond_outside[k][b] for b, k in cells]),
         ]
         notes = []
         if self.ragged:
@@ -450,20 +474,12 @@ class BucketReport:
         return ReportTable(columns=columns, rows=rows, notes=notes)
 
 
-def bucket_report(outcomes: dict[str, list[Outcome]], bucket_width: int = 50,
+def bucket_report(results: dict[str, UserResult], bucket_width: int = 50,
                   k_list: Sequence[int] = (1, 5)) -> BucketReport:
-    users = [_UserHits({k: np.array([o.hits[k] for o in outs], dtype=bool)
-                        for k in k_list},
-                       np.array([o.in_initial for o in outs], dtype=bool),
-                       np.array([o.in_union for o in outs], dtype=bool))
-             for outs in outcomes.values()]
-    return _report(users, bucket_width, k_list)
-
-
-def _report(users: list[_UserHits], bucket_width: int,
-            k_list: Sequence[int]) -> BucketReport:
-    """Bucket per-user hit arrays; the per-t means match mean_accuracy."""
-    lengths = {len(u.in_initial) for u in users if len(u.in_initial)}
+    """Bucket per-user results; the mean at t averages the users whose
+    stream reaches t."""
+    users = list(results.values())
+    lengths = {len(u) for u in users if len(u)}
     if not lengths:
         raise SpcError("no outcomes to report")
     if bucket_width < 1:
@@ -480,11 +496,11 @@ def _report(users: list[_UserHits], bucket_width: int,
         return total
 
     k_list = tuple(k_list)
-    reach = per_t(np.ones(len(u.in_initial), dtype=np.int64) for u in users)
+    reach = per_t(np.ones(len(u), dtype=np.int64) for u in users)
     init = per_t(u.in_initial for u in users)
     union = per_t(u.in_union for u in users)
-    hits = {k: per_t(u.hits[k] for u in users) for k in k_list}
-    hits_init = {k: per_t(u.hits[k] & u.in_initial for u in users)
+    hits = {k: per_t(u.rank < k for u in users) for k in k_list}
+    hits_init = {k: per_t((u.rank < k) & u.in_initial for u in users)
                  for k in k_list}
 
     accuracy = {k: [] for k in k_list}
@@ -516,38 +532,31 @@ def evaluate(streams: dict[str, list[LabeledRecord]],
              protos: PrototypeSet | None, strategy: Strategy,
              k_list: Sequence[int] = (1, 5),
              bucket_width: int = 50) -> BucketReport:
-    """Run every user through the strategy and bucket the outcomes."""
+    """Run every user through the strategy and bucket the results."""
     return bucket_report(run_streams(streams, protos, strategy, k_list),
                          bucket_width=bucket_width, k_list=k_list)
 
 
-def _sweep(streams, protos, strategies, k_list) -> list[dict[str, _UserHits]]:
-    """Per-user hits of strategies that differ only in w or w_s, scored
-    from one build of each user's class scores."""
+def _sweep(streams, protos, strategies, k_list) -> list[dict[str, UserResult]]:
+    """Per-user results, without the top-1, of strategies that differ only
+    in w or w_s."""
     if not strategies:
         raise SpcError("empty parameter grid")
-
-    def score_user(recs) -> list[_UserHits]:
-        # one user's class scores are freed before the next user's are built
-        _check_contiguous(recs)
-        scores = _ClassScores(recs, protos, strategies[0])
-        flags = _upper_limit_flags(recs, protos)
-        return [_UserHits(scores.hits(strategy, k_list), *flags)
-                for strategy in strategies]
-
-    per_user = {user: score_user(list(recs))
-                for user, recs in sorted(streams.items()) if recs}
-    return [{user: hits[i] for user, hits in per_user.items()}
+    # one user's class scores are freed before the next user's are built
+    per_user = {user: _replay(list(recs), protos, strategies, k_list,
+                              top1=False)
+                for user, recs in sorted(streams.items())}
+    return [{user: results[i] for user, results in per_user.items()}
             for i in range(len(strategies))]
 
 
 def _sweep_reports(streams, protos, kind, param, grid, k_list, bucket_width):
     """One report per grid value of one weight; Strategy checks its range."""
     grid = list(grid)
-    hits = _sweep(streams, protos,
-                  [Strategy(kind=kind, **{param: v}) for v in grid], k_list)
-    return [(v, _report(list(h.values()), bucket_width, k_list))
-            for v, h in zip(grid, hits)]
+    results = _sweep(streams, protos,
+                     [Strategy(kind=kind, **{param: v}) for v in grid], k_list)
+    return [(v, bucket_report(r, bucket_width, k_list))
+            for v, r in zip(grid, results)]
 
 
 def sweep_w(streams, protos, grid, k_list=(1, 5), bucket_width: int = 50):
@@ -563,19 +572,25 @@ def sweep_ws(streams, protos, grid, k_list=(1, 5), bucket_width: int = 50):
 
 
 def sweep_table(results, param_name: str, k_list, bucket_width: int) -> ReportTable:
-    """Flatten sweep results into one accuracy row per parameter value."""
+    """Flatten sweep results into one accuracy row per parameter value.
+
+    k_list and bucket_width must be the ones the reports were built with.
+    """
     if not results:
         raise SpcError("empty sweep")
-    first = results[0][1]
-    columns = [f"t{lo}-t{hi} top-{k}" for lo, hi in first.buckets
-               for k in first.k_list]
-    rows = []
     for value, report in results:
-        rows.append((f"{param_name}={value:g}",
-                     [report.accuracy[k][b]
-                      for b in range(len(report.buckets))
-                      for k in report.k_list]))
-    return ReportTable(columns=columns, rows=rows)
+        if (report.k_list, report.bucket_width) != (tuple(k_list),
+                                                    bucket_width):
+            raise SpcError(
+                f"sweep table for top-k {tuple(k_list)} at bucket width "
+                f"{bucket_width}, but the {param_name}={value:g} report has "
+                f"top-k {report.k_list} at bucket width "
+                f"{report.bucket_width}")
+    # the first row of a report's table is its accuracy row
+    tables = [report.to_table(f"{param_name}={value:g}")
+              for value, report in results]
+    return ReportTable(columns=tables[0].columns,
+                       rows=[table.rows[0] for table in tables])
 
 
 @dataclass
@@ -588,12 +603,11 @@ class CvResult:
     def to_table(self) -> ReportTable:
         grid = sorted(self.heldout_accuracy[0])
         columns = [f"w={w:g}" for w in grid]
-        rows = []
-        for i, held in enumerate(self.heldout_accuracy):
-            rows.append((f"fold {i + 1} held-out", [held[w] for w in grid]))
-        avg = {w: float(np.mean([h[w] for h in self.heldout_accuracy]))
-               for w in grid}
-        rows.append(("mean held-out", [avg[w] for w in grid]))
+        rows = [(f"fold {i + 1} held-out", [held[w] for w in grid])
+                for i, held in enumerate(self.heldout_accuracy)]
+        rows.append(("mean held-out", [
+            float(np.mean([h[w] for h in self.heldout_accuracy]))
+            for w in grid]))
         notes = [f"chosen w = {self.chosen_w:g}",
                  "per-fold training argmax: "
                  + ", ".join(f"{w:g}" for w in self.train_best_w)]
@@ -627,10 +641,11 @@ def cross_validate_w(streams, protos, grid, folds: int = 2,
     for user in users:
         if not streams[user]:
             raise SpcError(f"user {user!r} has an empty stream")
-    hits = _sweep(streams, protos, [Strategy(kind="spc", w=w) for w in grid],
-                  (objective_k,))
-    user_acc = {w: {u: float(np.mean(h[u].hits[objective_k])) for u in users}
-                for w, h in zip(grid, hits)}
+    results = _sweep(streams, protos,
+                     [Strategy(kind="spc", w=w) for w in grid], (objective_k,))
+    user_acc = {w: {u: float(np.mean(r[u].rank < objective_k))
+                    for u in users}
+                for w, r in zip(grid, results)}
 
     def set_acc(w: float, members: list[str]) -> float:
         return float(np.mean([user_acc[w][u] for u in members]))

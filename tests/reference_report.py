@@ -1,14 +1,27 @@
 """Reference bucketing of per-record outcomes, kept as the plain per-t loop.
 
-`bucket_report` aggregates from per-user hit arrays; this loop walks the
-Outcome objects one t at a time instead, and the two must agree exactly.
+`bucket_report` aggregates the columns of per-user results; this loop walks
+per-record Outcome objects one t at a time instead, and the two must agree
+exactly. `mean_accuracy` is the per-t mean the report's buckets average.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from spc import BucketReport, SpcError, mean_accuracy
+from spc import BucketReport, SpcError
+
+
+def mean_accuracy(results, t, k):
+    """Fraction of users whose record at index t was a top-k hit.
+
+    Users whose stream is shorter than t are excluded; if none reaches t,
+    that is an error.
+    """
+    hits = [bool(r.rank[t - 1] < k) for r in results.values() if t <= len(r)]
+    if not hits:
+        raise SpcError(f"no user has a record at t={t}")
+    return sum(hits) / len(hits)
 
 
 def reference_bucket_report(outcomes, bucket_width=50, k_list=(1, 5)):
@@ -30,10 +43,7 @@ def reference_bucket_report(outcomes, bucket_width=50, k_list=(1, 5)):
     cond_outside = {k: [] for k in k_list}
     for lo, hi in buckets:
         ts = range(lo, hi + 1)
-        for k in k_list:
-            accuracy[k].append(
-                float(np.mean([mean_accuracy(outcomes, t, k) for t in ts])))
-        per_t_rates = {"init": [], "union": []}
+        per_t_rates = {"init": [], "union": [], **{k: [] for k in k_list}}
         pool_in = {k: [] for k in k_list}
         pool_out = {k: [] for k in k_list}
         for t in ts:
@@ -42,6 +52,8 @@ def reference_bucket_report(outcomes, bucket_width=50, k_list=(1, 5)):
                 continue
             per_t_rates["init"].append(np.mean([o.in_initial for o in at_t]))
             per_t_rates["union"].append(np.mean([o.in_union for o in at_t]))
+            for k in k_list:
+                per_t_rates[k].append(np.mean([o.hits[k] for o in at_t]))
             for o in at_t:
                 pool = pool_in if o.in_initial else pool_out
                 for k in k_list:
@@ -49,6 +61,7 @@ def reference_bucket_report(outcomes, bucket_width=50, k_list=(1, 5)):
         in_initial.append(float(np.mean(per_t_rates["init"])))
         in_union.append(float(np.mean(per_t_rates["union"])))
         for k in k_list:
+            accuracy[k].append(float(np.mean(per_t_rates[k])))
             cond_initial[k].append(
                 float(np.mean(pool_in[k])) if pool_in[k] else None)
             cond_outside[k].append(

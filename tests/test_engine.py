@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from spc import (DimensionMismatchError, DotCounter, MeanState, PrototypeSet,
                  SpcConfig, SpcError, SumConfig, UserStore, class_similarity,
-                 ncm_rank, ncm_update, normalize, register, spc_rank,
-                 spc_sum_rank)
+                 ncm_rank, normalize, register, spc_rank, spc_sum_rank)
 
 from .oracle import brute_force_rank
 
@@ -254,13 +253,13 @@ class TestMeanState:
         m = unit2(1, 0)
         protos = PrototypeSet(2, class_ids=[0], vectors=[m])
         state = MeanState.from_prototypes(protos, MeanState.MEAN_AS_ONE)
-        ncm_update(state, m, 0)
+        state.update(m, 0)
         np.testing.assert_allclose(state.prototype(0), m, atol=1e-7)
 
     def test_mean_as_one_moves_halfway(self):
         protos = PrototypeSet(2, class_ids=[0], vectors=[unit2(1, 0)])
         state = MeanState.from_prototypes(protos, MeanState.MEAN_AS_ONE)
-        ncm_update(state, unit2(0, 1), 0)
+        state.update(unit2(0, 1), 0)
         np.testing.assert_allclose(state.prototype(0),
                                    [math.sqrt(0.5), math.sqrt(0.5)],
                                    atol=1e-6)
@@ -268,7 +267,7 @@ class TestMeanState:
     def test_novel_class_starts_at_sample(self):
         state = MeanState(2)
         v = unit2(0.6, 0.8)
-        ncm_update(state, v, 5)
+        state.update(v, 5)
         assert state.count(5) == 1
         np.testing.assert_allclose(state.prototype(5), v, atol=1e-7)
 
@@ -277,7 +276,7 @@ class TestMeanState:
                               counts={0: 800})
         state = MeanState.from_prototypes(protos, MeanState.FULL_HISTORY)
         assert state.count(0) == 800
-        ncm_update(state, unit2(0, 1), 0)
+        state.update(unit2(0, 1), 0)
         assert state.count(0) == 801
 
     def test_full_history_requires_counts(self):
@@ -298,8 +297,8 @@ class TestMeanState:
                               counts={0: 800})
         heavy = MeanState.from_prototypes(protos, MeanState.FULL_HISTORY)
         light = MeanState.from_prototypes(protos, MeanState.MEAN_AS_ONE)
-        ncm_update(heavy, sample, 0)
-        ncm_update(light, sample, 0)
+        heavy.update(sample, 0)
+        light.update(sample, 0)
         old64 = old.astype(np.float64)
         angle_heavy = math.acos(np.clip(heavy.prototype(0) @ old64, -1, 1))
         angle_light = math.acos(np.clip(light.prototype(0) @ old64, -1, 1))

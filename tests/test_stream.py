@@ -6,17 +6,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spc.stream as stream_module
+from spc.cli import STRATEGIES
 from spc import (BucketReport, DimensionMismatchError, DotCounter,
-                 LabeledRecord, PrototypeSet, SpcConfig, SpcError, Strategy,
-                 SumConfig, SynthConfig, UserStore, bucket_report,
-                 cross_validate_w, evaluate, generate_synthetic,
-                 group_by_user, mean_accuracy, normalize, register,
-                 run_streams, run_user_stream, spc_rank, spc_sum_rank,
-                 sweep_table, sweep_w, sweep_ws)
+                 LabeledRecord, PrototypeSet, ReportTable, SpcConfig,
+                 SpcError, Strategy, SumConfig, SynthConfig, UserStore,
+                 bucket_report, cross_validate_w, evaluate,
+                 generate_synthetic, group_by_user, normalize, register,
+                 render_report, run_streams, run_user_stream, spc_rank,
+                 spc_sum_rank, sweep_table, sweep_w, sweep_ws)
 
 from .oracle import brute_force_rank
 from .reference_means import reference_mean_replay
-from .reference_report import reference_bucket_report
+from .reference_report import mean_accuracy, reference_bucket_report
 
 SMALL = dict(dim=16, num_common_classes=12, users=6, records_per_user=40,
              novel_classes_per_user=2, confusable_group_count=2, group_size=2,
@@ -626,3 +627,75 @@ class TestBucketReportMatchesReference:
                                            k_list=k_list)
             for f in dataclasses.fields(BucketReport):
                 assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+
+class TestColumnarResults:
+    """evaluate, the sweep path and the per-record Outcome view report the
+    same thing."""
+
+    @pytest.fixture(scope="class")
+    def ragged(self, synth):
+        streams, protos = synth
+        first, second = sorted(streams)[:2]
+        return {first: streams[first],
+                second: streams[second][:23]}, protos
+
+    @pytest.mark.parametrize("learn", [True, False])
+    @pytest.mark.parametrize("strategy", list(STRATEGIES.values()),
+                             ids=list(STRATEGIES))
+    def test_evaluate_matches_sweep_and_outcome_view(self, ragged, strategy,
+                                                     learn):
+        streams, protos = ragged
+        strategy = dataclasses.replace(strategy, learn=learn)
+        k_list, width = (1, 3), 7
+        report = evaluate(streams, protos, strategy, k_list=k_list,
+                          bucket_width=width)
+        assert report.ragged
+        swept = stream_module._sweep(streams, protos, [strategy], k_list)
+        assert report == bucket_report(swept[0], width, k_list)
+        views = {user: list(result) for user, result in
+                 run_streams(streams, protos, strategy, k_list).items()}
+        assert report == reference_bucket_report(views, width, k_list)
+
+    @pytest.mark.parametrize("strategy", list(STRATEGIES.values()),
+                             ids=list(STRATEGIES))
+    def test_indexing_and_slicing_match_iteration(self, synth, strategy):
+        streams, protos = synth
+        user = sorted(streams)[0]
+        result = run_user_stream(streams[user], protos, strategy,
+                                 k_list=(1, 3))
+        outs = list(result)
+        assert len(outs) == len(result) == len(streams[user])
+        assert [result[i] for i in range(len(result))] == outs
+        assert result[-1] == outs[-1]
+        for part in (slice(3, 9), slice(None, 5), slice(1, None, 2)):
+            assert list(result[part]) == outs[part]
+            assert result[part] == outs[part]
+        for o, rec, pos, top in zip(outs, streams[user], result.rank,
+                                    result.predicted):
+            assert (o.user, o.t, o.true_class) == (rec.user, rec.t,
+                                                   rec.class_id)
+            assert o.predicted == (None if top < 0 else top)
+            assert o.hits == {1: pos < 1, 3: pos < 3}
+        with pytest.raises(IndexError):
+            result[len(result)]
+
+
+class TestSweepTableArguments:
+    def test_mismatch_raises_and_match_renders_the_reports(self, synth):
+        streams, protos = synth
+        results = sweep_w(streams, protos, [0.7, 0.85], k_list=(1, 3),
+                          bucket_width=15)
+        for k_list, width in (((1, 5), 15), ((1, 3), 50), ((7,), 999)):
+            with pytest.raises(SpcError, match="bucket width"):
+                sweep_table(results, "w", k_list, width)
+        buckets = [(1, 15), (16, 30), (31, 40)]
+        want = ReportTable(
+            columns=[f"t{lo}-t{hi} top-{k}" for lo, hi in buckets
+                     for k in (1, 3)],
+            rows=[(f"w={w:g}", [report.accuracy[k][b] for b in range(3)
+                                for k in (1, 3)])
+                  for w, report in results])
+        got = sweep_table(results, "w", [1, 3], 15)
+        for fmt in ("tsv", "markdown"):
+            assert render_report(got, fmt=fmt) == render_report(want, fmt=fmt)
