@@ -2,9 +2,11 @@
 tables. Every file starts with a JSON header line carrying the format name,
 a version, and the embedding dimension, so readers can fail fast.
 
-Floats are written with Python's shortest round-trip repr, which is
-deterministic across platforms; round trips are exact for the float32
-values stored.
+Vector components are float32 values, each written as `"%.9g" % x`
+(exactly zero as `repr(x)`, so -0.0 keeps its sign). That is exact: nine
+significant digits lie within 5e-9 relative of x, and half a float32 ulp
+is at least 2**-25 (about 3e-8) relative, so parsing to float64 and
+rounding to float32 gives back x bit for bit.
 """
 
 from __future__ import annotations
@@ -30,8 +32,11 @@ def _dump(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _vec_to_list(vec: np.ndarray) -> list[float]:
-    return [float(x) for x in np.asarray(vec, dtype=np.float32)]
+def _dump_with_vec(fields: dict, vec: np.ndarray) -> str:
+    """`_dump(fields)` with a last key "vec" holding a float32 vector."""
+    # not %#.9g: it writes 331719808. which is not JSON
+    parts = ["%.9g" % x if x else repr(x) for x in vec.tolist()]
+    return _dump(fields)[:-1] + ',"vec":[' + ",".join(parts) + "]}"
 
 
 def _read_header(line: str, path, expected_format: str) -> dict:
@@ -57,6 +62,13 @@ def _check_label(label, path, lineno: int) -> None:
                               f"string, got {label!r}")
 
 
+def _check_dim(vec: np.ndarray, dim: int, path, lineno: int) -> None:
+    if vec.shape != (dim,):
+        raise FileFormatError(
+            f"{path}:{lineno}: vec length "
+            f"{vec.shape[0] if vec.ndim == 1 else '?'} does not match dim {dim}")
+
+
 def write_records(records, path, normalize_on_load: bool = False,
                   registry: LabelRegistry | None = None,
                   dim: int | None = None) -> None:
@@ -66,14 +78,19 @@ def write_records(records, path, normalize_on_load: bool = False,
         if not records:
             raise SpcError("cannot infer dim from an empty record list")
         dim = len(records[0].vec)
+    vecs = [np.asarray(rec.vec, dtype=np.float32) for rec in records]
+    for rec, vec in zip(records, vecs):
+        if not np.isfinite(vec).all():
+            raise SpcError(f"record of user {rec.user!r} at t={rec.t} has a "
+                           f"non-finite vector component")
     resolve = registry.resolve if registry is not None else str
     with open(path, "w", encoding="utf-8") as f:
         f.write(_dump({"format": RECORDS_FORMAT, "version": FORMAT_VERSION,
                        "dim": dim, "normalize": normalize_on_load}) + "\n")
-        for rec in records:
-            f.write(_dump({"user": rec.user, "t": rec.t,
-                           "label": resolve(rec.class_id),
-                           "vec": _vec_to_list(rec.vec)}) + "\n")
+        for rec, vec in zip(records, vecs):
+            f.write(_dump_with_vec({"user": rec.user, "t": rec.t,
+                                    "label": resolve(rec.class_id)}, vec)
+                    + "\n")
 
 
 def read_records(path, registry: LabelRegistry | None = None):
@@ -108,10 +125,7 @@ def read_records(path, registry: LabelRegistry | None = None):
                 raise FileFormatError(
                     f"{path}:{lineno}: t must be an integer >= 1, got {t!r}")
             _check_label(label, path, lineno)
-            if vec.shape != (dim,):
-                raise FileFormatError(
-                    f"{path}:{lineno}: vec length {vec.shape[0] if vec.ndim == 1 else '?'}"
-                    f" does not match dim {dim}")
+            _check_dim(vec, dim, path, lineno)
             if renorm:
                 vec = normalize(vec)
             else:
@@ -134,8 +148,8 @@ def write_prototypes(protos: PrototypeSet, path,
                        "dim": protos.dim}) + "\n")
         for i, c in enumerate(protos.class_ids):
             count = protos.counts.get(int(c)) if protos.counts else None
-            f.write(_dump({"label": resolve(int(c)), "count": count,
-                           "vec": _vec_to_list(protos.matrix[i])}) + "\n")
+            f.write(_dump_with_vec({"label": resolve(int(c)), "count": count},
+                                   protos.matrix[i]) + "\n")
 
 
 def read_prototypes(path, registry: LabelRegistry | None = None):
@@ -168,8 +182,7 @@ def read_prototypes(path, registry: LabelRegistry | None = None):
                 raise FileFormatError(f"{path}:{lineno}: duplicate label "
                                       f"{label!r}")
             seen.add(label)
-            if vec.shape != (dim,):
-                raise FileFormatError(f"{path}:{lineno}: vec length mismatch")
+            _check_dim(vec, dim, path, lineno)
             cid = registry.intern(label)
             ids.append(cid)
             vecs.append(vec)

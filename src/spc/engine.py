@@ -90,22 +90,6 @@ def _query64(query, dim: int) -> np.ndarray:
     return q
 
 
-def class_similarity(class_id: int, query, store) -> float:
-    """Max dot product between query and stored vectors of one class.
-
-    Returns exactly 0.0 when the store holds no vector of that class.
-    `store` may be a UserStore or a PrototypeSet.
-    """
-    q = _query64(query, store.dim)
-    vecs, classes = ((store.matrix64, store.class_ids)
-                     if isinstance(store, PrototypeSet)
-                     else (store.vectors64, store.classes))
-    mask = classes == class_id
-    if not mask.any():
-        return 0.0
-    return float(np.max(vecs[mask] @ q))
-
-
 def _gather_scores(query, store: UserStore | None, protos: PrototypeSet | None,
                    counter: DotCounter | None):
     """Per-class max of the user dots and the prototype dots, absent

@@ -3,13 +3,14 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spc import (FileFormatError, LabeledRecord, LabelRegistry, PrototypeSet,
                  ReportTable, SpcError, normalize, read_prototypes, read_records,
                  render_report, write_manifest, write_prototypes,
                  write_records, write_report)
+from spc.data_io import _dump_with_vec
 
 
 def make_records(n, dim=4, seed=0):
@@ -32,7 +33,53 @@ class TestRecordsRoundTrip:
         for a, b in zip(recs, back):
             assert a.user == b.user and a.t == b.t
             assert reg.resolve(a.class_id) == reg2.resolve(b.class_id)
-            np.testing.assert_array_equal(a.vec, b.vec)
+            np.testing.assert_array_equal(a.vec.view(np.uint32),
+                                          b.vec.view(np.uint32))
+
+    def test_negative_zero_and_subnormal_survive(self, tmp_path):
+        vec = np.array([0.6, -0.0, 1e-45, 0.8], dtype=np.float32)
+        path = tmp_path / "a.records"
+        write_records([LabeledRecord("u", 1, 0, vec)], path)
+        back, _ = read_records(path)
+        np.testing.assert_array_equal(back[0].vec.view(np.uint32),
+                                      vec.view(np.uint32))
+
+    def test_files_in_the_earlier_format_read_the_same(self, tmp_path):
+        """Lines that wrote each component as the shortest repr of its
+        float64 value read back to the bits the current writer's do."""
+        recs, reg = make_records(6, dim=16)
+        recs.append(LabeledRecord("u0", 9, 0, np.array(
+            [0.6, -0.0, 1e-45, 0.8] + [0.0] * 12, dtype=np.float32)))
+        new, old = tmp_path / "new.records", tmp_path / "old.records"
+        write_records(recs, new, registry=reg)
+        header = {"format": "spc-records", "version": 1, "dim": 16,
+                  "normalize": False}
+        old.write_text("\n".join(
+            [json.dumps(header)]
+            + [json.dumps({"user": r.user, "t": r.t,
+                           "label": reg.resolve(r.class_id),
+                           "vec": [float(x) for x in r.vec]},
+                          separators=(",", ":"))
+               for r in recs]) + "\n")
+        assert old.read_text() != new.read_text()
+        for a, b in zip(read_records(new)[0], read_records(old)[0]):
+            np.testing.assert_array_equal(a.vec.view(np.uint32),
+                                          b.vec.view(np.uint32))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_non_finite_component_refused_at_write(self, tmp_path, bad):
+        recs, reg = make_records(4, dim=3)
+        vec = recs[3].vec.copy()
+        vec[1] = bad
+        recs[3] = LabeledRecord(recs[3].user, recs[3].t, recs[3].class_id,
+                                vec)
+        path = tmp_path / "a.records"
+        with pytest.raises(SpcError, match=re.escape(
+                f"record of user {recs[3].user!r} at t={recs[3].t} has a "
+                f"non-finite vector component")):
+            write_records(recs, path, registry=reg)
+        assert not path.exists()
 
     def test_shared_registry_keeps_ids(self, tmp_path):
         recs, reg = make_records(6)
@@ -147,7 +194,38 @@ class TestPrototypesRoundTrip:
         path = tmp_path_factory.mktemp("rt") / "p.protos"
         write_prototypes(protos, path)
         back, _ = read_prototypes(path)
-        np.testing.assert_array_equal(protos.matrix, back.matrix)
+        np.testing.assert_array_equal(protos.matrix.view(np.uint32),
+                                      back.matrix.view(np.uint32))
+
+    def test_wrong_dim_names_length_and_dim(self, tmp_path):
+        path = tmp_path / "p.protos"
+        header = {"format": "spc-prototypes", "version": 1, "dim": 3}
+        line = {"label": "c", "count": 1, "vec": [1.0, 0.0]}
+        path.write_text(json.dumps(header) + "\n" + json.dumps(line) + "\n")
+        with pytest.raises(FileFormatError, match=re.escape(
+                f"{path}:2: vec length 2 does not match dim 3")):
+            read_prototypes(path)
+
+
+FLT_MAX_BITS = 0x7F7FFFFF
+SMALLEST_SUBNORMAL_BITS = 0x00000001
+SIGN_BIT = 0x80000000
+
+
+@given(bits=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=64))
+@example(bits=[0, SIGN_BIT])
+@example(bits=[SMALLEST_SUBNORMAL_BITS, SIGN_BIT | SMALLEST_SUBNORMAL_BITS])
+@example(bits=[FLT_MAX_BITS, SIGN_BIT | FLT_MAX_BITS])
+@example(bits=[int(np.float32(331719808.0).view(np.uint32))])
+@settings(max_examples=300, deadline=None)
+def test_vector_format_is_bit_exact_for_finite_float32(bits):
+    vec = np.array(bits, dtype=np.uint32).view(np.float32)
+    vec = vec[np.isfinite(vec)]
+    line = _dump_with_vec({"label": "c"}, vec)
+    obj = json.loads(line)
+    assert list(obj) == ["label", "vec"]
+    back = np.asarray(obj["vec"], dtype=np.float32)
+    np.testing.assert_array_equal(back.view(np.uint32), vec.view(np.uint32))
 
 
 BAD_FIELDS = [

@@ -6,10 +6,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spc import (DimensionMismatchError, DotCounter, MeanState, PrototypeSet,
-                 SpcConfig, SpcError, SumConfig, UserStore, class_similarity,
-                 ncm_rank, normalize, register, spc_rank, spc_sum_rank)
+                 SpcConfig, SpcError, SumConfig, UserStore, ncm_rank,
+                 normalize, register, spc_rank, spc_sum_rank)
+from spc.engine import _query64
 
 from .oracle import brute_force_rank
+
+
+def class_similarity(class_id: int, query, store) -> float:
+    """Max dot product between query and stored vectors of one class.
+
+    Returns exactly 0.0 when the store holds no vector of that class.
+    `store` may be a UserStore or a PrototypeSet.
+    """
+    q = _query64(query, store.dim)
+    vecs, classes = ((store.matrix64, store.class_ids)
+                     if isinstance(store, PrototypeSet)
+                     else (store.vectors64, store.classes))
+    mask = classes == class_id
+    if not mask.any():
+        return 0.0
+    return float(np.max(vecs[mask] @ q))
 
 
 def unit2(x, y):
