@@ -56,13 +56,6 @@ class LabelRegistry:
     def __len__(self) -> int:
         return len(self._label_of)
 
-    def __contains__(self, label: str) -> bool:
-        return label in self._id_of
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(self._label_of)
-
 
 def normalize(raw) -> np.ndarray:
     """Scale a vector to unit L2 norm; returns a float32 array.
@@ -79,21 +72,50 @@ def normalize(raw) -> np.ndarray:
     return (v / norm).astype(np.float32)
 
 
-def check_unit(vec: np.ndarray, tol: float = UNIT_NORM_TOL) -> None:
+def check_unit(vec, dim: int | None = None) -> np.ndarray:
+    """The vector as a float64 array, once it is checked to have shape
+    (dim,), when dim is given, and unit norm within UNIT_NORM_TOL."""
     v = np.asarray(vec, dtype=np.float64)
+    if dim is not None and v.shape != (dim,):
+        raise DimensionMismatchError(
+            f"expected dim {dim}, got shape {v.shape}")
     norm = math.sqrt(v.dot(v))
     # written so that a NaN norm fails too
-    if not abs(norm - 1.0) <= tol:
-        raise NormalizationError(f"vector norm {norm!r} is not 1 within {tol}")
+    if not abs(norm - 1.0) <= UNIT_NORM_TOL:
+        raise NormalizationError(
+            f"vector norm {norm!r} is not 1 within {UNIT_NORM_TOL}")
+    return v
 
 
-def non_unit_rows(matrix: np.ndarray,
-                  tol: float = UNIT_NORM_TOL) -> np.ndarray:
-    """Indices of the rows of a float64 matrix whose norm is not 1 within
-    tol, NaN norms included."""
-    # einsum forms no temporary of squares
-    norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
-    return np.flatnonzero(~(np.abs(norms - 1.0) <= tol))
+def non_unit_rows(matrix: np.ndarray) -> np.ndarray:
+    """Indices of the rows of a matrix whose float64 norm is not 1 within
+    UNIT_NORM_TOL, NaN norms included."""
+    # einsum forms no temporary of squares, nor a float64 copy
+    norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix, dtype=np.float64))
+    return np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))
+
+
+def stack_records(records, dim: int, dtype=np.float64) -> np.ndarray:
+    """The records' vectors as one (len(records), dim) matrix of dtype,
+    once every row is checked to be unit within UNIT_NORM_TOL. The error
+    names the user and t of the first record that fails."""
+    vecs = [rec.vec for rec in records]
+    try:
+        matrix = np.array(vecs or np.empty((0, dim)), dtype=dtype)
+    except ValueError:  # ragged
+        matrix = None
+    if matrix is None or matrix.shape != (len(vecs), dim):
+        i = next(i for i, v in enumerate(vecs) if np.shape(v) != (dim,))
+        raise DimensionMismatchError(
+            f"record of user {records[i].user!r} at t={records[i].t}: "
+            f"vector shape {np.shape(vecs[i])}, expected ({dim},)")
+    bad = non_unit_rows(matrix)
+    if len(bad):
+        rec = records[bad[0]]
+        raise NormalizationError(
+            f"record of user {rec.user!r} at t={rec.t}: vector is not "
+            f"unit-normalized within {UNIT_NORM_TOL}")
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -128,13 +150,10 @@ class UserStore:
         self._vecs = np.empty((32, dim))
         self._classes = np.empty(32, dtype=np.int64)
         self._n = 0
-        self.class_set: set[int] = set()
 
     def append(self, vec: np.ndarray, class_id: int) -> None:
-        v = np.asarray(vec, dtype=np.float32)
-        if v.shape != (self.dim,):
-            raise DimensionMismatchError(
-                f"expected dim {self.dim}, got shape {v.shape}")
+        # the row holds float32 values, so the check is on those values
+        v = check_unit(np.asarray(vec, dtype=np.float32), self.dim)
         if class_id < 0:
             raise SpcError(f"class id must be >= 0, got {class_id}")
         if self._n == len(self._classes):
@@ -142,20 +161,12 @@ class UserStore:
             self._vecs = np.resize(self._vecs, (2 * self._n, self.dim))
             self._classes = np.resize(self._classes, 2 * self._n)
         # the row past the end is not visible until _n moves
-        row = self._vecs[self._n]
-        row[:] = v
-        check_unit(row)
+        self._vecs[self._n] = v
         self._classes[self._n] = class_id
         self._n += 1
-        self.class_set.add(int(class_id))
 
     def __len__(self) -> int:
         return self._n
-
-    @property
-    def vectors(self) -> np.ndarray:
-        """float32 copy of the stored embeddings, in insertion order."""
-        return self._vecs[: self._n].astype(np.float32)
 
     @property
     def vectors64(self) -> np.ndarray:
@@ -197,7 +208,6 @@ class PrototypeSet:
         self.class_ids = ids
         self.matrix = vecs
         self.matrix64 = matrix64
-        self.class_set: set[int] = set(int(c) for c in ids)
         self.counts: dict[int, int] | None = (
             {int(k): int(v) for k, v in counts.items()} if counts else None)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (LabeledRecord, LabelRegistry, PrototypeSet, SpcError,
-                   check_unit, normalize)
+                   check_unit, normalize, stack_records)
 
 RECORDS_FORMAT = "spc-records"
 PROTOS_FORMAT = "spc-prototypes"
@@ -62,31 +62,36 @@ def _check_label(label, path, lineno: int) -> None:
                               f"string, got {label!r}")
 
 
-def _check_dim(vec: np.ndarray, dim: int, path, lineno: int) -> None:
+def _check_vec(vec: np.ndarray, dim: int, path, lineno: int,
+               renorm: bool = False) -> np.ndarray:
+    """The line's vector, checked to be unit or, when renorm, normalized."""
     if vec.shape != (dim,):
         raise FileFormatError(
             f"{path}:{lineno}: vec length "
             f"{vec.shape[0] if vec.ndim == 1 else '?'} does not match dim {dim}")
+    try:
+        if renorm:
+            return normalize(vec)
+        check_unit(vec)
+        return vec
+    except SpcError as e:
+        raise FileFormatError(f"{path}:{lineno}: {e}") from None
 
 
-def write_records(records, path, normalize_on_load: bool = False,
-                  registry: LabelRegistry | None = None,
+def write_records(records, path, registry: LabelRegistry | None = None,
                   dim: int | None = None) -> None:
-    """Write labeled records as header + one JSON object per line."""
+    """Write labeled records as header + one JSON object per line. A
+    record read_records would refuse is named before the file is opened."""
     records = list(records)
     if dim is None:
         if not records:
             raise SpcError("cannot infer dim from an empty record list")
         dim = len(records[0].vec)
-    vecs = [np.asarray(rec.vec, dtype=np.float32) for rec in records]
-    for rec, vec in zip(records, vecs):
-        if not np.isfinite(vec).all():
-            raise SpcError(f"record of user {rec.user!r} at t={rec.t} has a "
-                           f"non-finite vector component")
+    vecs = stack_records(records, dim, np.float32)
     resolve = registry.resolve if registry is not None else str
     with open(path, "w", encoding="utf-8") as f:
         f.write(_dump({"format": RECORDS_FORMAT, "version": FORMAT_VERSION,
-                       "dim": dim, "normalize": normalize_on_load}) + "\n")
+                       "dim": dim, "normalize": False}) + "\n")
         for rec, vec in zip(records, vecs):
             f.write(_dump_with_vec({"user": rec.user, "t": rec.t,
                                     "label": resolve(rec.class_id)}, vec)
@@ -125,14 +130,7 @@ def read_records(path, registry: LabelRegistry | None = None):
                 raise FileFormatError(
                     f"{path}:{lineno}: t must be an integer >= 1, got {t!r}")
             _check_label(label, path, lineno)
-            _check_dim(vec, dim, path, lineno)
-            if renorm:
-                vec = normalize(vec)
-            else:
-                try:
-                    check_unit(vec)
-                except SpcError as e:
-                    raise FileFormatError(f"{path}:{lineno}: {e}") from None
+            vec = _check_vec(vec, dim, path, lineno, renorm)
             records.append(LabeledRecord(user=user, t=t,
                                          class_id=registry.intern(label),
                                          vec=vec))
@@ -182,7 +180,7 @@ def read_prototypes(path, registry: LabelRegistry | None = None):
                 raise FileFormatError(f"{path}:{lineno}: duplicate label "
                                       f"{label!r}")
             seen.add(label)
-            _check_dim(vec, dim, path, lineno)
+            _check_vec(vec, dim, path, lineno)
             cid = registry.intern(label)
             ids.append(cid)
             vecs.append(vec)
@@ -226,27 +224,19 @@ def render_report(table: ReportTable, fmt: str = "tsv",
     columns = list(table.columns)
     if precise:
         columns += [c + " (raw)" for c in table.columns]
-    out = []
+    rows = [[label] + [_render_cell(v) for v in values]
+            + ([_render_precise(v) for v in values] if precise else [])
+            for label, values in table.rows]
     if fmt == "tsv":
-        out.append("\t".join(["method"] + columns))
-        for label, values in table.rows:
-            cells = [_render_cell(v) for v in values]
-            if precise:
-                cells += [_render_precise(v) for v in values]
-            out.append("\t".join([label] + cells))
-        for note in table.notes:
-            out.append(f"# {note}")
+        out = ["\t".join(["method"] + columns)]
+        out += ["\t".join(cells) for cells in rows]
+        out += [f"# {note}" for note in table.notes]
     elif fmt == "markdown":
-        out.append("| method | " + " | ".join(columns) + " |")
-        out.append("|" + "---|" * (len(columns) + 1))
-        for label, values in table.rows:
-            cells = [_render_cell(v) for v in values]
-            if precise:
-                cells += [_render_precise(v) for v in values]
-            out.append("| " + " | ".join([label] + cells) + " |")
+        out = ["| method | " + " | ".join(columns) + " |",
+               "|" + "---|" * (len(columns) + 1)]
+        out += ["| " + " | ".join(cells) + " |" for cells in rows]
         for note in table.notes:
-            out.append("")
-            out.append(f"_{note}_")
+            out += ["", f"_{note}_"]
     else:
         raise SpcError(f"unknown report format {fmt!r}")
     return "\n".join(out) + "\n"

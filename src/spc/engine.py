@@ -11,6 +11,9 @@ Per class c over C = C_u ∪ C_m:
 
 where s(c, q, V) is the maximum dot product between q and the stored
 vectors of class c, and exactly 0 when V holds no vector of class c.
+Each rule lives once, in SpcConfig.combine and SumConfig.combine, which
+spc_rank and the stream evaluator (via Strategy.config) call. 1-NN is
+w = 1; ncm_rank is the linear sum at w_s = 1 over an empty user store.
 
 Tie rule (rankings are fully deterministic): score descending, then
 classes present in the user store before prototype-only classes, then
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (DimensionMismatchError, PrototypeSet, SpcError, UserStore,
-                   check_unit, normalize)
+                   check_unit)
 
 
 @dataclass(frozen=True)
@@ -39,6 +42,15 @@ class SpcConfig:
         if not (0.0 < self.w <= 1.0):
             raise SpcError(f"w must be in (0, 1], got {self.w}")
 
+    def combine(self, su: np.ndarray, sm: np.ndarray,
+                has_protos: bool) -> np.ndarray:
+        """Weighted-max scores; with no prototype set at all there is
+        nothing to take the max against, so the scores are su itself."""
+        if not has_protos:
+            return su
+        score = self.w * sm
+        return np.maximum(su, score, out=score)
+
 
 @dataclass(frozen=True)
 class SumConfig:
@@ -49,6 +61,13 @@ class SumConfig:
     def __post_init__(self):
         if not (0.0 <= self.w_s <= 1.0):
             raise SpcError(f"w_s must be in [0, 1], got {self.w_s}")
+
+    def combine(self, su: np.ndarray, sm: np.ndarray,
+                has_protos: bool) -> np.ndarray:
+        """The linear-sum scores (sm is 0 without prototypes)."""
+        score = (1.0 - self.w_s) * su
+        score += self.w_s * sm
+        return score
 
 
 @dataclass
@@ -82,14 +101,6 @@ class DotCounter:
         self.per_call.append(n)
 
 
-def _query64(query, dim: int) -> np.ndarray:
-    q = np.asarray(query, dtype=np.float64)
-    if q.shape != (dim,):
-        raise DimensionMismatchError(f"query shape {q.shape}, expected ({dim},)")
-    check_unit(q)
-    return q
-
-
 def _gather_scores(query, store: UserStore | None, protos: PrototypeSet | None,
                    counter: DotCounter | None):
     """Per-class max of the user dots and the prototype dots, absent
@@ -103,7 +114,7 @@ def _gather_scores(query, store: UserStore | None, protos: PrototypeSet | None,
         raise SpcError("nothing to predict: no user store and no prototypes")
     if len(dims) > 1:
         raise DimensionMismatchError("store/prototype dimension mismatch")
-    q = _query64(query, dims.pop())
+    q = check_unit(query, dims.pop())
     n_user = len(store) if store is not None else 0
     n_proto = len(protos) if protos is not None else 0
     if n_user == 0 and n_proto == 0:
@@ -135,47 +146,27 @@ def _sorted_ranking(cand, scores, user_flags) -> Ranking:
     return Ranking(class_ids=cand[order], scores=scores[order])
 
 
-def _rank_rows(query, dim: int, matrix, class_ids,
-               counter: DotCounter | None) -> Ranking:
-    """Rank class_ids by the similarity of their rows of matrix to the
-    query, no class counting as user-present."""
-    q = _query64(query, dim)
-    if counter is not None:
-        counter.add(len(class_ids))
-    return _sorted_ranking(class_ids, matrix @ q,
-                           np.zeros(len(class_ids), dtype=bool))
-
-
 def spc_rank(query, store: UserStore | None, protos: PrototypeSet | None,
-             cfg: SpcConfig, counter: DotCounter | None = None) -> Ranking:
-    """Weighted-max personalized ranking over C_u ∪ C_m.
-
-    With no prototype set at all there is nothing to take the max against,
-    so the scores are the raw per-class user similarities (which keeps the
-    user-only reduction exact even for negative similarities).
-    """
+             cfg: SpcConfig | SumConfig,
+             counter: DotCounter | None = None) -> Ranking:
+    """Personalized ranking over C_u ∪ C_m: weighted max under a
+    SpcConfig, linear sum under a SumConfig."""
     cand, s_user, s_proto, user_flags, has_protos = _gather_scores(
         query, store, protos, counter)
-    scores = np.maximum(s_user, cfg.w * s_proto) if has_protos else s_user
-    return _sorted_ranking(cand, scores, user_flags)
+    return _sorted_ranking(cand, cfg.combine(s_user, s_proto, has_protos),
+                           user_flags)
 
 
-def spc_sum_rank(query, store: UserStore | None, protos: PrototypeSet | None,
-                 cfg: SumConfig, counter: DotCounter | None = None) -> Ranking:
-    """Linear-combination ranking over C_u ∪ C_m."""
-    cand, s_user, s_proto, user_flags, _ = _gather_scores(
-        query, store, protos, counter)
-    scores = (1.0 - cfg.w_s) * s_user + cfg.w_s * s_proto
-    return _sorted_ranking(cand, scores, user_flags)
+spc_sum_rank = spc_rank
 
 
 def ncm_rank(query, protos: PrototypeSet,
              counter: DotCounter | None = None) -> Ranking:
-    """Nearest-class-mean ranking over the prototype classes only."""
+    """Nearest-class-mean ranking over the prototype classes only: the
+    linear sum at w_s = 1 over an empty user store."""
     if protos is None or len(protos) == 0:
         raise SpcError("empty prototype set")
-    return _rank_rows(query, protos.dim, protos.matrix64, protos.class_ids,
-                      counter)
+    return spc_rank(query, None, protos, SumConfig(1.0), counter)
 
 
 def register(store: UserStore, vec, class_id: int) -> UserStore:
@@ -258,11 +249,7 @@ class MeanState:
         return int(np.searchsorted(self._ids, class_id))
 
     def update(self, vec, class_id: int) -> "MeanState":
-        v = np.asarray(vec, dtype=np.float64)
-        if v.shape != (self.dim,):
-            raise DimensionMismatchError(
-                f"expected dim {self.dim}, got shape {v.shape}")
-        check_unit(v)
+        v = check_unit(vec, self.dim)
         class_id = int(class_id)
         known = class_id in self._acc
         self._acc[class_id] = self._acc[class_id] + v if known else v.copy()
@@ -288,4 +275,8 @@ class MeanState:
     def rank(self, query, counter: DotCounter | None = None) -> Ranking:
         if not len(self._ids):
             raise SpcError("empty mean state")
-        return _rank_rows(query, self.dim, self._exposed, self._ids, counter)
+        q = check_unit(query, self.dim)
+        if counter is not None:
+            counter.add(len(self._ids))
+        return _sorted_ranking(self._ids, self._exposed @ q,
+                               np.zeros(len(self._ids), dtype=bool))

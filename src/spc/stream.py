@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import (DimensionMismatchError, LabeledRecord, PrototypeSet,
-                   SpcError, non_unit_rows)
+                   SpcError, stack_records)
 from .data_io import ReportTable
 from .engine import DotCounter, MeanState, SpcConfig, SumConfig, unit_means
 
@@ -52,13 +52,17 @@ class Strategy:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise SpcError(f"unknown strategy kind {self.kind!r}")
-        if self.kind == "spc":
-            SpcConfig(self.w)
-        if self.kind == "spc-sum":
-            SumConfig(self.w_s)
+        self.config  # the setting checks w or w_s
         if self.kind == "ncm-incr" and self.mean_mode not in (
                 MeanState.FULL_HISTORY, MeanState.MEAN_AS_ONE):
             raise SpcError(f"unknown mean mode {self.mean_mode!r}")
+
+    @property
+    def config(self) -> SpcConfig | SumConfig:
+        """The engine setting this strategy scores with."""
+        if self.kind in ("spc", "1nn", "1nn-star"):
+            return SpcConfig(self.w if self.kind == "spc" else 1.0)
+        return SumConfig(self.w_s if self.kind == "spc-sum" else 1.0)
 
     def label(self) -> str:
         if self.kind == "spc":
@@ -148,30 +152,6 @@ class UserResult:
 # Query columns of the Gram matrix are computed this many at a time, so a
 # replay holds O(B * T) Gram entries and never a T x T array.
 GRAM_BLOCK = 128
-
-
-def _check_shapes(records, dim: int) -> None:
-    for rec in records:
-        v = np.asarray(rec.vec, dtype=np.float64)
-        if v.shape != (dim,):
-            raise SpcError(
-                f"user {rec.user!r} t={rec.t}: vector shape {v.shape}")
-
-
-def _stack_queries(records) -> np.ndarray:
-    """The stream's vectors as one float64 matrix, each row checked unit."""
-    dim = len(records[0].vec)
-    try:
-        queries = np.array([rec.vec for rec in records], dtype=np.float64)
-    except ValueError:
-        _check_shapes(records, dim)
-        raise
-    if queries.shape != (len(records), dim):
-        _check_shapes(records, dim)
-    bad = non_unit_rows(queries)
-    if len(bad):
-        raise SpcError(f"record t={records[bad[0]].t} is not unit-normalized")
-    return queries
 
 
 def _prefix_max(queries, rows, su) -> None:
@@ -288,7 +268,7 @@ class _ClassScores:
 
     def __init__(self, records: Sequence[LabeledRecord],
                  protos: PrototypeSet | None, strategy: Strategy):
-        queries = _stack_queries(records)
+        queries = stack_records(records, len(records[0].vec))
         T, dim = queries.shape
         self.means = strategy.kind in ("ncm-fixed", "ncm-incr")
         self.use_protos = (strategy.kind != "1nn-star" and protos is not None
@@ -338,15 +318,7 @@ class _ClassScores:
         with np.errstate(invalid="raise", over="raise"):
             if self.means:
                 return self.sm
-            if strategy.kind == "spc-sum":
-                score = (1.0 - strategy.w_s) * self.su
-                score += strategy.w_s * self.sm
-                return score
-            if not self.use_protos:
-                return self.su
-            w = strategy.w if strategy.kind == "spc" else 1.0
-            score = w * self.sm
-            return np.maximum(self.su, score, out=score)
+            return strategy.config.combine(self.su, self.sm, self.use_protos)
 
     def rank(self, score: np.ndarray) -> np.ndarray:
         """0-based rank position of the true class at each step, MISS where

@@ -89,7 +89,7 @@ def test_criterion_1_oracle_equivalence():
             protos = PrototypeSet(dim, class_ids=proto_ids,
                                   vectors=proto_vecs)
             query = normalize(sample(1)[0])
-            user_pairs = list(zip(store.vectors, store_cls.tolist()))
+            user_pairs = list(zip(store.vectors64, store_cls.tolist()))
             proto_pairs = list(zip(proto_ids.tolist(),
                                    proto_vecs)) if n_protos else []
             if rng.integers(0, 2):

@@ -90,9 +90,9 @@ class TestUserStore:
     def test_append_grows_and_tracks_classes(self):
         store = UserStore(2)
         store.append(normalize([1, 0]), 3)
-        assert len(store) == 1 and store.class_set == {3}
+        assert len(store) == 1 and set(store.classes.tolist()) == {3}
         store.append(normalize([0, 1]), 3)
-        assert len(store) == 2 and store.class_set == {3}
+        assert len(store) == 2 and set(store.classes.tolist()) == {3}
 
     def test_dimension_mismatch(self):
         store = UserStore(3)
@@ -114,7 +114,7 @@ class TestUserStore:
         store = UserStore(2)
         with pytest.raises(SpcError, match="class id must be >= 0"):
             store.append(normalize([1.0, 0.0]), -1)
-        assert len(store) == 0 and store.class_set == set()
+        assert len(store) == 0
 
     def test_append_never_mutates_prior_entries(self):
         rng = np.random.default_rng(0)
@@ -122,23 +122,14 @@ class TestUserStore:
         snapshots = []
         for i in range(100):
             store.append(normalize(rng.standard_normal(4)), i % 7)
-            snapshots.append((store.vectors, store.vectors64.copy(),
+            snapshots.append((store.vectors64, store.vectors64.copy(),
                               store.classes.copy()))
-        for i, (vecs, vecs64, classes) in enumerate(snapshots):
-            np.testing.assert_array_equal(store.vectors[: i + 1], vecs)
+        for i, (view, vecs64, classes) in enumerate(snapshots):
+            np.testing.assert_array_equal(view, vecs64)
             np.testing.assert_array_equal(store.vectors64[: i + 1], vecs64)
             np.testing.assert_array_equal(store.classes[: i + 1], classes)
-        assert store.vectors.dtype == np.float32
         np.testing.assert_array_equal(
-            store.vectors, store.vectors64.astype(np.float32))
-
-    def test_class_set_matches_entries(self):
-        rng = np.random.default_rng(1)
-        store = UserStore(3)
-        for i in range(50):
-            store.append(normalize(rng.standard_normal(3)),
-                         int(rng.integers(0, 5)))
-            assert store.class_set == set(store.classes.tolist())
+            store.vectors64, store.vectors64.astype(np.float32))
 
 
 class TestPrototypeSet:

@@ -76,10 +76,47 @@ class TestRecordsRoundTrip:
                                 vec)
         path = tmp_path / "a.records"
         with pytest.raises(SpcError, match=re.escape(
-                f"record of user {recs[3].user!r} at t={recs[3].t} has a "
-                f"non-finite vector component")):
+                f"record of user {recs[3].user!r} at t={recs[3].t}: vector "
+                f"is not unit-normalized")):
             write_records(recs, path, registry=reg)
         assert not path.exists()
+
+    @pytest.mark.parametrize("vec", [[1.0, 0.0], [0.6, 0.8, 0.0, 0.0, 0.0]])
+    def test_wrong_length_refused_at_write(self, tmp_path, vec):
+        recs, reg = make_records(4, dim=4)
+        recs[2] = LabeledRecord(recs[2].user, recs[2].t, recs[2].class_id,
+                                np.array(vec, dtype=np.float32))
+        path = tmp_path / "a.records"
+        with pytest.raises(SpcError, match=re.escape(
+                f"record of user {recs[2].user!r} at t={recs[2].t}: vector "
+                f"shape ({len(vec)},), expected (4,)")):
+            write_records(recs, path, registry=reg)
+        assert not path.exists()
+
+    def test_explicit_dim_that_disagrees_refused_at_write(self, tmp_path):
+        recs, reg = make_records(3, dim=4)
+        path = tmp_path / "a.records"
+        with pytest.raises(SpcError, match=re.escape(
+                f"record of user {recs[0].user!r} at t={recs[0].t}: vector "
+                f"shape (4,), expected (2,)")):
+            write_records(recs, path, registry=reg, dim=2)
+        assert not path.exists()
+
+    def test_non_unit_refused_at_write(self, tmp_path):
+        recs, reg = make_records(4, dim=2)
+        recs[1] = LabeledRecord(recs[1].user, recs[1].t, recs[1].class_id,
+                                np.array([3.0, 4.0], dtype=np.float32))
+        path = tmp_path / "a.records"
+        with pytest.raises(SpcError, match=re.escape(
+                f"record of user {recs[1].user!r} at t={recs[1].t}: vector "
+                f"is not unit-normalized within 1e-06")):
+            write_records(recs, path, registry=reg)
+        assert not path.exists()
+
+    def test_empty_record_list_with_dim_writes_a_header(self, tmp_path):
+        path = tmp_path / "a.records"
+        write_records([], path, dim=3)
+        assert read_records(path)[0] == []
 
     def test_shared_registry_keeps_ids(self, tmp_path):
         recs, reg = make_records(6)
@@ -96,6 +133,19 @@ class TestRecordsRoundTrip:
         path.write_text(json.dumps(header) + "\n" + json.dumps(line) + "\n")
         back, _ = read_records(path)
         np.testing.assert_allclose(back[0].vec, [0.6, 0.8], atol=1e-6)
+
+    @pytest.mark.parametrize("bad", [[0.0, 0.0], [float("nan"), 1.0]])
+    def test_normalize_on_load_cites_the_line(self, tmp_path, bad):
+        path = tmp_path / "a.records"
+        header = {"format": "spc-records", "version": 1, "dim": 2,
+                  "normalize": True}
+        good = {"user": "u", "t": 1, "label": "c", "vec": [3.0, 4.0]}
+        line = {"user": "u", "t": 2, "label": "c", "vec": bad}
+        path.write_text("\n".join(json.dumps(x) for x in (header, good, line))
+                        + "\n")
+        with pytest.raises(FileFormatError, match=re.escape(
+                f"{path}:3: cannot normalize zero or non-finite vector")):
+            read_records(path)
 
     def test_non_unit_rejected_without_normalize_flag(self, tmp_path):
         path = tmp_path / "a.records"
@@ -204,6 +254,18 @@ class TestPrototypesRoundTrip:
         path.write_text(json.dumps(header) + "\n" + json.dumps(line) + "\n")
         with pytest.raises(FileFormatError, match=re.escape(
                 f"{path}:2: vec length 2 does not match dim 3")):
+            read_prototypes(path)
+
+    def test_non_unit_vector_cites_the_line(self, tmp_path):
+        path = tmp_path / "p.protos"
+        header = {"format": "spc-prototypes", "version": 1, "dim": 2}
+        good = {"label": "a", "count": 1, "vec": [0.6, 0.8]}
+        bad = {"label": "b", "count": 1, "vec": [1.0, 1.0]}
+        path.write_text("\n".join(json.dumps(x) for x in (header, good, bad))
+                        + "\n")
+        with pytest.raises(FileFormatError, match=re.escape(
+                f"{path}:3: vector norm 1.4142135623730951 is not 1 within "
+                f"1e-06")):
             read_prototypes(path)
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from spc import (DimensionMismatchError, DotCounter, MeanState, PrototypeSet,
                  SpcConfig, SpcError, SumConfig, UserStore, ncm_rank,
                  normalize, register, spc_rank, spc_sum_rank)
-from spc.engine import _query64
+from spc.core import check_unit
 
 from .oracle import brute_force_rank
 
@@ -19,7 +19,7 @@ def class_similarity(class_id: int, query, store) -> float:
     Returns exactly 0.0 when the store holds no vector of that class.
     `store` may be a UserStore or a PrototypeSet.
     """
-    q = _query64(query, store.dim)
+    q = check_unit(query, store.dim)
     vecs, classes = ((store.matrix64, store.class_ids)
                      if isinstance(store, PrototypeSet)
                      else (store.vectors64, store.classes))
@@ -64,6 +64,18 @@ class TestConfigs:
         for bad in (-0.1, 1.1):
             with pytest.raises(SpcError):
                 SumConfig(bad)
+
+    def test_combine_is_the_scoring_rule(self):
+        su = np.array([0.5, 0.0, -0.25])
+        sm = np.array([0.25, 0.75, 0.5])
+        np.testing.assert_array_equal(SpcConfig(0.5).combine(su, sm, True),
+                                      [0.5, 0.375, 0.25])
+        # with no prototype set at all, the user similarities themselves
+        np.testing.assert_array_equal(SpcConfig(0.5).combine(su, sm, False),
+                                      su)
+        np.testing.assert_array_equal(SumConfig(0.25).combine(su, sm, True),
+                                      0.75 * su + 0.25 * sm)
+        assert spc_sum_rank is spc_rank
 
 
 class TestClassSimilarity:
@@ -190,9 +202,9 @@ class TestSpcSumRank:
         query = normalize(rng.standard_normal(4))
         r = spc_sum_rank(query, store, protos, SumConfig(0.0))
         user_scores = {c: class_similarity(c, query, store)
-                       for c in store.class_set}
+                       for c in store.classes.tolist()}
         for c, s in r.pairs():
-            if c in store.class_set:
+            if c in user_scores:
                 assert s == pytest.approx(user_scores[c], abs=1e-12)
             else:
                 assert s == 0.0
@@ -243,14 +255,33 @@ class TestNcmRank:
         with pytest.raises(SpcError):
             ncm_rank(unit2(1, 0), PrototypeSet(2))
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_is_nearest_prototype_by_dot_then_id(self, seed):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(2, 40))
+        n = int(rng.integers(1, 30))
+        vecs = [normalize(rng.standard_normal(dim)) for _ in range(n)]
+        # duplicated vectors tie, and the tie goes to the smaller id
+        vecs[-1] = vecs[0]
+        ids = rng.choice(100, size=n, replace=False)
+        protos = PrototypeSet(dim, class_ids=ids, vectors=np.stack(vecs))
+        q = normalize(rng.standard_normal(dim))
+        counter = DotCounter()
+        r = ncm_rank(q, protos, counter)
+        dots = protos.matrix64 @ q.astype(np.float64)
+        order = np.lexsort((ids, -dots))
+        assert r.class_ids.tolist() == ids[order].tolist()
+        np.testing.assert_array_equal(r.scores, dots[order])
+        assert counter.per_call == [n]
+
 
 class TestRegister:
     def test_register_new_and_existing_class(self):
         store = UserStore(2)
         register(store, unit2(1, 0), 0)
-        assert len(store) == 1 and store.class_set == {0}
+        assert len(store) == 1 and set(store.classes.tolist()) == {0}
         register(store, unit2(0, 1), 0)
-        assert len(store) == 2 and store.class_set == {0}
+        assert len(store) == 2 and set(store.classes.tolist()) == {0}
 
     def test_self_retrieval_after_register(self):
         rng = np.random.default_rng(11)
@@ -355,7 +386,7 @@ class TestLocalAdaptation:
                          int(rng.integers(0, 7)))
         query = normalize(rng.standard_normal(dim))
         before = dict(spc_rank(query, store, protos, SpcConfig(0.85)).pairs())
-        seen = set(store.class_set)
+        seen = set(store.classes.tolist())
         new_class = int(rng.integers(0, 7))
         store.append(normalize(rng.standard_normal(dim)), new_class)
         after = dict(spc_rank(query, store, protos, SpcConfig(0.85)).pairs())

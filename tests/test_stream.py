@@ -245,6 +245,21 @@ class TestBucketReport:
             bucket_report({})
 
 
+class TestStrategyConfig:
+    @pytest.mark.parametrize("kind, config", [
+        ("spc", SpcConfig(0.3)), ("spc-sum", SumConfig(0.4)),
+        ("1nn", SpcConfig(1.0)), ("1nn-star", SpcConfig(1.0)),
+        ("ncm-fixed", SumConfig(1.0)), ("ncm-incr", SumConfig(1.0))])
+    def test_each_kind_is_a_setting_of_the_engine(self, kind, config):
+        assert Strategy(kind=kind, w=0.3, w_s=0.4).config == config
+
+    def test_the_setting_checks_the_weights(self):
+        with pytest.raises(SpcError, match="w_s must be in"):
+            Strategy(kind="spc-sum", w_s=1.5)
+        # a weight the kind does not use is not checked
+        assert Strategy(kind="1nn", w=0.0).config == SpcConfig(1.0)
+
+
 class TestSweeps:
     def test_sweep_w_rejects_zero(self, synth):
         streams, protos = synth
@@ -460,7 +475,8 @@ class TestEvaluatorDifferential:
         per_call = per_call_replay(records, protos, strategy, want_counter)
         oracle = oracle_replay(records, protos, strategy)
         assert counter.per_call == want_counter.per_call
-        initial = protos.class_set if protos is not None else set()
+        initial = (set(protos.class_ids.tolist()) if protos is not None
+                   else set())
         seen = set()
         for o, rec, ids, ids_oracle in zip(got, records, per_call, oracle):
             assert ids == ids_oracle
