@@ -74,7 +74,8 @@ def normalize(raw) -> np.ndarray:
 
 def check_unit(vec, dim: int | None = None) -> np.ndarray:
     """The vector as a float64 array, once it is checked to have shape
-    (dim,), when dim is given, and unit norm within UNIT_NORM_TOL."""
+    (dim,), when dim is given, and unit norm within UNIT_NORM_TOL. A
+    float64 array is checked in place, not copied."""
     v = np.asarray(vec, dtype=np.float64)
     if dim is not None and v.shape != (dim,):
         raise DimensionMismatchError(
@@ -152,16 +153,19 @@ class UserStore:
         self._n = 0
 
     def append(self, vec: np.ndarray, class_id: int) -> None:
-        # the row holds float32 values, so the check is on those values
-        v = check_unit(np.asarray(vec, dtype=np.float32), self.dim)
+        v = np.asarray(vec, dtype=np.float32)
+        if v.shape == (self.dim,):
+            if self._n == len(self._classes):
+                # new arrays, so views handed out earlier keep their rows
+                self._vecs = np.resize(self._vecs, (2 * self._n, self.dim))
+                self._classes = np.resize(self._classes, 2 * self._n)
+            # the float32 values go straight into the row past the end,
+            # which is not visible until _n moves, and are checked there
+            self._vecs[self._n] = v
+            v = self._vecs[self._n]
+        check_unit(v, self.dim)
         if class_id < 0:
             raise SpcError(f"class id must be >= 0, got {class_id}")
-        if self._n == len(self._classes):
-            # new arrays, so views handed out earlier keep their rows
-            self._vecs = np.resize(self._vecs, (2 * self._n, self.dim))
-            self._classes = np.resize(self._classes, 2 * self._n)
-        # the row past the end is not visible until _n moves
-        self._vecs[self._n] = v
         self._classes[self._n] = class_id
         self._n += 1
 

@@ -9,14 +9,14 @@ arrays directly; Outcome objects are built only when a caller indexes or
 iterates a result. The in-union flag is the harness's own bookkeeping, so
 it holds even for strategies that do not learn.
 
-Every strategy is replayed by one whole-stream evaluator per user
+Every strategy is replayed by one column-blocked evaluator per user
 (_ClassScores) rather than step by step: since the store at step t holds
-exactly records 1..t-1, every score comes from |U| x T arrays over the
-user's class union U and the steps, which do not depend on w or w_s. The
-true class's rank position is a count rather than a sort, and query
-columns are scored GRAM_BLOCK at a time, so no T x T array is allocated.
-The w and w_s sweeps and cross-validation build each user's arrays once
-and re-score them for every grid value.
+exactly records 1..t-1, every score comes from arrays over the user's
+class union U and the steps, which do not depend on w or w_s. They are
+built GRAM_BLOCK steps at a time, each block's per-class max in one flat
+maximum.at, and every strategy of a call is ranked in a block before the
+next one is built, so a replay holds no |U| x T or T x T array. The true
+class's rank position is a count rather than a sort.
 """
 
 from __future__ import annotations
@@ -65,13 +65,9 @@ class Strategy:
         return SumConfig(self.w_s if self.kind == "spc-sum" else 1.0)
 
     def label(self) -> str:
-        if self.kind == "spc":
-            return f"spc (w={self.w:g})"
-        if self.kind == "spc-sum":
-            return f"spc-sum (w_s={self.w_s:g})"
-        if self.kind == "ncm-incr":
-            return f"ncm-incr ({self.mean_mode})"
-        return self.kind
+        detail = {"spc": f"w={self.w:g}", "spc-sum": f"w_s={self.w_s:g}",
+                  "ncm-incr": self.mean_mode}.get(self.kind)
+        return f"{self.kind} ({detail})" if detail else self.kind
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,28 +145,21 @@ class UserResult:
                         for k in self.k_list))
 
 
-# Query columns of the Gram matrix are computed this many at a time, so a
-# replay holds O(B * T) Gram entries and never a T x T array.
+# A replay builds its class-by-step arrays this many steps (columns) at a
+# time, Gram block included, so it holds no |U| x T or T x T array.
 GRAM_BLOCK = 128
 
 
-def _prefix_max(queries, rows, su) -> None:
-    """su[c, t] = max of queries[j] . queries[t] over j < t of class row c.
-
-    Entries with no such j are left as they are. Column blocks of the Gram
-    matrix are reduced per class with maximum.reduceat over the rows sorted
-    by class, with j >= t masked out.
-    """
-    T = len(queries)
-    order = np.argsort(rows, kind="stable")
-    for b0 in range(0, T, GRAM_BLOCK):
-        b1 = min(b0 + GRAM_BLOCK, T)
-        gram = queries[:b1] @ queries[b0:b1].T
-        gram[b0:][np.tri(b1 - b0, dtype=bool)] = -np.inf
-        sel = order[order < b1]
-        r = rows[sel]
-        starts = np.flatnonzero(np.diff(r, prepend=-1))
-        su[r[starts], b0:b1] = np.maximum.reduceat(gram[sel], starts, axis=0)
+def _prefix_max(queries, rows, b0, su) -> None:
+    """su[c, t - b0] = max of queries[j] . queries[t] over j < t of class
+    row c, for the steps t of su's column block; entries with no such j
+    are left as they are. One flat maximum.at into su, which must be
+    C-contiguous, reduces the Gram columns, masked at j >= t, per class."""
+    n = su.shape[1]
+    gram = queries[:b0 + n] @ queries[b0:b0 + n].T
+    gram[b0:][np.tri(n, dtype=bool)] = -np.inf
+    idx = rows[:b0 + n, None] * n + np.arange(n)
+    np.maximum.at(su.reshape(-1), idx.ravel(), gram.ravel())
 
 
 def _columns(records, protos) -> dict:
@@ -194,66 +183,35 @@ def _columns(records, protos) -> dict:
                 in_union=in_initial | (first[inverse] < np.arange(T)))
 
 
-def _running_means(queries, ids, rows, seed_rows, seed_acc, seed_count):
-    """Each record's class mean after absorbing the record, in t order.
-
-    MeanState's rule, applied one record at a time: a new class starts from
-    the record, a known class adds the record to its float64 sum.
-    """
+def _mean_versions(queries, ids, rows, seed_rows, seed_acc, seed_count):
+    """ncm-incr's matrix of mean versions: the |P| seeded means, then each
+    record's class mean after absorbing it, in t order, by MeanState's
+    rule: a new class starts from the record, a known class adds the
+    record to its float64 sum."""
+    P = len(seed_rows)
     acc = dict(zip(seed_rows.tolist(), seed_acc))
     count = dict(zip(seed_rows.tolist(), seed_count.tolist()))
-    sums = np.empty_like(queries)
-    counts = np.empty(len(queries), dtype=np.int64)
+    sums = np.concatenate((seed_acc, np.empty_like(queries)))
+    counts = np.concatenate((seed_count, np.empty(len(rows), np.int64)))
     for t, c in enumerate(rows.tolist()):
         acc[c] = acc[c] + queries[t] if c in acc else queries[t]
         count[c] = count.get(c, 0) + 1
-        sums[t], counts[t] = acc[c], count[c]
-    return unit_means(sums, counts, ids[rows])
-
-
-def _mean_scores(queries, ids, rows, protos, strategy):
-    """ncm-incr's similarity of every class at every step, and whether the
-    class has a mean there.
-
-    version[c, t] indexes the mean class c exposes at step t in the matrix
-    of versions: the |P| seeded prototypes, then record j's class mean
-    after absorbing it, exposed from step j + 1 on.
-    """
-    T = len(queries)
-    seed_ids, seed_acc, seed_count = MeanState.seed(protos,
-                                                    strategy.mean_mode)
-    P = len(seed_ids)
-    seed_rows = np.searchsorted(ids, seed_ids)
-    version = np.full((len(ids), T), -1, dtype=np.intp)
-    version[seed_rows, 0] = np.arange(P)
-    versions = unit_means(seed_acc, seed_count, seed_ids)
-    if strategy.learn:
-        version[rows[:-1], np.arange(1, T)] = P + np.arange(T - 1)
-        versions = np.concatenate((versions, _running_means(
-            queries, ids, rows, seed_rows, seed_acc, seed_count)))
-    np.maximum.accumulate(version, axis=1, out=version)
-    has_mean = version >= 0
-    np.maximum(version, 0, out=version)
-    score = np.empty(version.shape)
-    for b0 in range(0, T, GRAM_BLOCK):
-        b1 = min(b0 + GRAM_BLOCK, T)
-        # no step before b1 exposes a later version
-        dots = versions[:P + b1] @ queries[b0:b1].T
-        score[:, b0:b1] = dots[version[:, b0:b1], np.arange(b1 - b0)]
-    return score, has_mean
+        sums[P + t], counts[P + t] = acc[c], count[c]
+    return unit_means(sums, counts, ids[np.concatenate((seed_rows, rows))])
 
 
 class _ClassScores:
-    """Whole-stream evaluator for every strategy.
+    """Column-blocked evaluator for every strategy.
 
     Under predict-then-learn the user store at step t holds exactly records
-    1..t-1, so every score of the replay comes from |U| x T arrays over
-    the sorted class union U (rows) and the steps (columns), none of which
-    depends on w or w_s:
+    1..t-1, so every score of the replay comes from class-by-step arrays
+    over the sorted class union U (rows) and the steps (columns), none of
+    which depends on w or w_s. The constructor checks every input. Then
+    blocks() moves through the steps GRAM_BLOCK columns at a time, building
+    the current block's arrays, which score, rank and top1 read:
 
       su       per-class max user similarity over the records before t,
-               0 where the class has none yet (nearest-neighbor family
-               only);
+               0 where there is none (nearest-neighbor family only);
       sm       prototype similarity, 0 for classes without a prototype;
                for ncm-incr, the similarity to the class's running mean;
       present  the class was in the user store before t (never, for the
@@ -263,10 +221,13 @@ class _ClassScores:
     A strategy's scores are one elementwise combination of su and sm. The
     true class's rank position is then a count, with no sort: the
     candidates scoring higher, plus those scoring equal that the tie rule
-    puts first (user-present, then the smaller id).
+    puts first (user-present, then the smaller id). Each block takes its
+    columns of the matrix products a whole-stream build makes; the
+    prototype product is one call over all steps, since a product's
+    rounding can depend on its shape.
     """
 
-    def __init__(self, records: Sequence[LabeledRecord],
+    def __init__(self, records: Sequence[LabeledRecord], cls: np.ndarray,
                  protos: PrototypeSet | None, strategy: Strategy):
         queries = stack_records(records, len(records[0].vec))
         T, dim = queries.shape
@@ -279,55 +240,90 @@ class _ClassScores:
         if self.use_protos and protos.dim != dim:
             raise DimensionMismatchError(
                 f"stream dim {dim} != prototype dim {protos.dim}")
-        cls = np.fromiter((r.class_id for r in records), dtype=np.int64,
-                          count=T)
         proto_ids = protos.class_ids if self.use_protos else cls[:0]
         self.ids, inverse = np.unique(np.concatenate((cls, proto_ids)),
                                       return_inverse=True)
-        self.rows, proto_rows = inverse[:T], inverse[T:]
-        self.cols = np.arange(T)
+        self.rows, self.proto_rows = inverse[:T], inverse[T:]
+        self.queries, self.learn = queries, strategy.learn
+        self.n_proto, self.versions = len(proto_ids), None
+        if strategy.kind == "ncm-incr":
+            seed_ids, seed_acc, seed_count = MeanState.seed(
+                protos, strategy.mean_mode)
+            seed_rows = np.searchsorted(self.ids, seed_ids)
+            # the version each class exposes at the next step, -1 for none;
+            # record j's version P + j is exposed from step j + 1 on
+            self.latest = np.full(len(self.ids), -1, dtype=np.intp)
+            self.latest[seed_rows] = np.arange(self.n_proto)
+            n = T if self.learn else 0
+            self.versions = _mean_versions(queries[:n], self.ids,
+                                           self.rows[:n], seed_rows,
+                                           seed_acc, seed_count)
+        elif self.use_protos:
+            self.proto_dots = protos.matrix64 @ queries.T
 
-        with np.errstate(invalid="raise", over="raise"):
-            shape = (len(self.ids), T)
-            if strategy.kind == "ncm-incr":
-                self.sm, self.cand = _mean_scores(queries, self.ids,
-                                                  self.rows, protos, strategy)
-            else:
-                in_proto = np.zeros(len(self.ids), dtype=bool)
-                in_proto[proto_rows] = True
-                self.sm = np.zeros(shape)
-                if self.use_protos:
-                    self.sm[proto_rows] = protos.matrix64 @ queries.T
-                self.cand = np.broadcast_to(in_proto[:, None], shape)
-            if self.means:
-                self.present = np.zeros(shape, dtype=bool)
-            else:
-                self.su = np.full(shape, -np.inf)
-                if strategy.learn:
-                    _prefix_max(queries, self.rows, self.su)
+    def _mean_block(self, b0, b1):
+        """ncm-incr's similarity of every class at steps b0..b1-1 to the
+        mean it exposes there, and whether it has one."""
+        n, P = b1 - b0, self.n_proto
+        # column k is step b0 + k; the extra last column carries to step b1
+        version = np.full((len(self.ids), n + 1), -1, dtype=np.intp)
+        version[:, 0] = self.latest
+        if self.learn:
+            version[self.rows[b0:b1], np.arange(1, n + 1)] = \
+                P + np.arange(b0, b1)
+        np.maximum.accumulate(version, axis=1, out=version)
+        self.latest, version = version[:, n].copy(), version[:, :n]
+        # no step before b1 exposes a later version
+        dots = self.versions[:P + b1] @ self.queries[b0:b1].T
+        return dots[np.maximum(version, 0), np.arange(n)], version >= 0
+
+    def blocks(self):
+        """Build each column block's arrays in step order, sm and su in two
+        buffers that every block reuses, and yield its steps as a slice."""
+        T, U = len(self.queries), len(self.ids)
+        in_proto = np.zeros(U, dtype=bool)
+        in_proto[self.proto_rows] = True
+        row_ids = np.arange(U)[:, None]
+        bufs = np.empty((2, U * GRAM_BLOCK))
+        for b0 in range(0, T, GRAM_BLOCK):
+            b1 = min(b0 + GRAM_BLOCK, T)
+            shape = (U, b1 - b0)
+            bufs[0], bufs[1] = 0.0, -np.inf
+            self.sm, self.su = (b[:U * (b1 - b0)].reshape(shape) for b in bufs)
+            cand = np.broadcast_to(in_proto[:, None], shape)
+            if self.versions is not None:
+                self.sm, cand = self._mean_block(b0, b1)
+            elif self.use_protos:
+                self.sm[self.proto_rows] = self.proto_dots[:, b0:b1]
+            self.present = np.zeros(shape, dtype=bool)
+            if not self.means:
+                if self.learn:
+                    _prefix_max(self.queries, self.rows, b0, self.su)
                 self.present = self.su > -np.inf
                 self.su[~self.present] = 0.0
-                self.cand = self.present | self.cand
-            p_true = self.present[self.rows, self.cols]
-            row_ids = np.arange(len(self.ids))[:, None]
+                cand = self.present | cand
+            self.cand, rows = cand, self.rows[b0:b1]
+            self.true = rows, np.arange(b1 - b0)
+            p_true = self.present[self.true]
             self.tie_ahead = (self.present & ~p_true) | (
-                (self.present == p_true) & (row_ids < self.rows))
+                (self.present == p_true) & (row_ids < rows))
+            self.miss = ~cand[self.true]
+            yield slice(b0, b1)
 
     def score(self, strategy: Strategy) -> np.ndarray:
         """The strategy's post-weight score of every class at every step."""
-        with np.errstate(invalid="raise", over="raise"):
-            if self.means:
-                return self.sm
-            return strategy.config.combine(self.su, self.sm, self.use_protos)
+        if self.means:
+            return self.sm
+        return strategy.config.combine(self.su, self.sm, self.use_protos)
 
     def rank(self, score: np.ndarray) -> np.ndarray:
         """0-based rank position of the true class at each step, MISS where
         it is not a candidate."""
-        s_true = score[self.rows, self.cols]
+        s_true = score[self.true]
         ahead = self.cand & ((score > s_true)
                              | ((score == s_true) & self.tie_ahead))
         pos = ahead.sum(axis=0)
-        pos[~self.cand[self.rows, self.cols]] = MISS
+        pos[self.miss] = MISS
         return pos
 
     def top1(self, score: np.ndarray) -> np.ndarray:
@@ -343,33 +339,33 @@ class _ClassScores:
 def _replay(records, protos, strategies, k_list, counter=None,
             top1=True) -> list[UserResult]:
     """One user's results under strategies that differ only in w or w_s,
-    scored from one build of the user's class scores."""
+    all ranked in each column block of one build of the class scores."""
     columns = _columns(records, protos)
-    if not records:
-        empty = np.empty(0, dtype=np.intp)
-        return [UserResult(k_list=tuple(k_list), rank=empty, predicted=empty,
-                           **columns) for _ in strategies]
-    scores = _ClassScores(records, protos, strategies[0])
-    if counter is not None:
-        # the dot products a per-call replay spends at each step
-        if scores.means:
-            dots = scores.cand.sum(axis=0)
-        else:
-            n_proto = len(protos) if scores.use_protos else 0
-            dots = np.arange(len(records)) * strategies[0].learn + n_proto
-        # steps that rank nothing make no ranking call
-        dots = dots[dots != 0]
-        counter.total += int(dots.sum())
-        counter.per_call.extend(dots.tolist())
-
-    def result(strategy) -> UserResult:
-        # a strategy's score array is freed before the next one is built
-        score = scores.score(strategy)
-        return UserResult(k_list=tuple(k_list), rank=scores.rank(score),
-                          predicted=scores.top1(score) if top1 else None,
-                          **columns)
-
-    return [result(strategy) for strategy in strategies]
+    T = len(records)
+    ranks = [np.empty(T, dtype=np.intp) for _ in strategies]
+    tops = [np.empty(T, dtype=np.int64) if top1 else None for _ in strategies]
+    if T:
+        with np.errstate(invalid="raise", over="raise"):
+            scores = _ClassScores(records, columns["true_class"], protos,
+                                  strategies[0])
+            # the dot products a per-call replay spends at each step
+            dots = np.arange(T) * scores.learn + scores.n_proto
+            for b in scores.blocks():
+                if scores.means and counter is not None:
+                    dots[b] = scores.cand.sum(axis=0)
+                for strategy, rank, top in zip(strategies, ranks, tops):
+                    # one strategy's score block is freed before the next
+                    score = scores.score(strategy)
+                    rank[b] = scores.rank(score)
+                    if top is not None:
+                        top[b] = scores.top1(score)
+        if counter is not None:
+            # steps that rank nothing make no ranking call
+            dots = dots[dots != 0]
+            counter.total += int(dots.sum())
+            counter.per_call.extend(dots.tolist())
+    return [UserResult(k_list=tuple(k_list), rank=rank, predicted=top,
+                       **columns) for rank, top in zip(ranks, tops)]
 
 
 def run_user_stream(records: Sequence[LabeledRecord],

@@ -116,6 +116,30 @@ class TestUserStore:
             store.append(normalize([1.0, 0.0]), -1)
         assert len(store) == 0
 
+    # 32 rows fill the first capacity, so the 33rd append doubles it
+    @pytest.mark.parametrize("n_before", [0, 5, 32])
+    @pytest.mark.parametrize("vec, class_id, error", [
+        (normalize([1.0, 0.0, 0.0]), 0, DimensionMismatchError),
+        (np.array([1.0, 1.0], dtype=np.float32), 0, NormalizationError),
+        (np.array([np.nan, 0.0], dtype=np.float32), 0, NormalizationError),
+        (normalize([1.0, 0.0]), -1, SpcError)])
+    def test_rejected_append_changes_nothing(self, n_before, vec, class_id,
+                                             error):
+        rng = np.random.default_rng(n_before)
+        store = UserStore(2)
+        for i in range(n_before):
+            store.append(normalize(rng.standard_normal(2)), i % 3)
+        vecs, classes = store.vectors64.copy(), store.classes.copy()
+        with pytest.raises(error):
+            store.append(vec, class_id)
+        assert len(store) == n_before
+        np.testing.assert_array_equal(store.vectors64, vecs)
+        np.testing.assert_array_equal(store.classes, classes)
+        store.append(normalize([0.0, 1.0]), 7)
+        assert len(store) == n_before + 1
+        np.testing.assert_array_equal(store.vectors64[-1], [0.0, 1.0])
+        assert store.classes[-1] == 7
+
     def test_append_never_mutates_prior_entries(self):
         rng = np.random.default_rng(0)
         store = UserStore(4)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -715,3 +716,106 @@ class TestSweepTableArguments:
         got = sweep_table(results, "w", [1, 3], 15)
         for fmt in ("tsv", "markdown"):
             assert render_report(got, fmt=fmt) == render_report(want, fmt=fmt)
+
+
+class TestBlockBoundaries:
+    """The column-blocked evaluator at block widths that split streams
+    unevenly, against the per-step loops over the per-call engine, and the
+    sweep and cross-validation against per-value replays."""
+
+    GRID = ((0.7, 0.0), (0.85, 0.5), (1.0, 1.0))  # (w, w_s)
+
+    @pytest.fixture(scope="class")
+    def ragged(self):
+        from spc import SubsetSpec, TrainIndex, build_prototypes, \
+            select_classes
+        train, stream, _, _ = generate_synthetic(SynthConfig(
+            **dict(SMALL, users=2, records_per_user=150)))
+        protos = build_prototypes(
+            train, select_classes(TrainIndex.from_records(train),
+                                  SubsetSpec()), SubsetSpec())
+        first, second = sorted(group_by_user(stream).items())
+        # neither length is a multiple of 7 or 128
+        return {first[0]: first[1], second[0]: second[1][:61]}, protos
+
+    @pytest.fixture(scope="class")
+    def reference(self, ragged):
+        """(rank positions, predictions) of the per-step loop, by user,
+        strategy name and learn flag."""
+        streams, protos = ragged
+        want = {}
+        for user, records in streams.items():
+            for name, strategy in STRATEGIES.items():
+                for learn in (True, False):
+                    s = dataclasses.replace(strategy, learn=learn)
+                    if s.kind in ("ncm-fixed", "ncm-incr"):
+                        want[user, name, learn] = reference_mean_replay(
+                            records, protos, s)
+                        continue
+                    ids = per_call_replay(records, protos, s, None)
+                    want[user, name, learn] = (
+                        [i.index(r.class_id) if r.class_id in i
+                         else stream_module.MISS
+                         for i, r in zip(ids, records)],
+                        [i[0] if i else -1 for i in ids])
+        return want
+
+    @pytest.mark.parametrize("block", [1, 7, 128])
+    @pytest.mark.parametrize("learn", [True, False])
+    @pytest.mark.parametrize("name", list(STRATEGIES))
+    def test_replay_and_sweep(self, ragged, reference, monkeypatch, block,
+                              learn, name):
+        streams, protos = ragged
+        monkeypatch.setattr(stream_module, "GRAM_BLOCK", block)
+        grid = [dataclasses.replace(STRATEGIES[name], w=w, w_s=w_s,
+                                    learn=learn) for w, w_s in self.GRID]
+        k_list = (1, 5)
+        swept = stream_module._sweep(streams, protos, grid, k_list)
+        for user, records in streams.items():
+            for strategy, results in zip(grid, swept):
+                got = run_user_stream(records, protos, strategy, k_list)
+                assert results[user] == dataclasses.replace(got,
+                                                            predicted=None)
+            # the grid value the reference replays
+            got = run_user_stream(records, protos, dataclasses.replace(
+                STRATEGIES[name], learn=learn), k_list)
+            rank, predicted = reference[user, name, learn]
+            assert got.rank.tolist() == rank
+            assert got.predicted.tolist() == predicted
+
+    @pytest.mark.parametrize("block", [1, 7, 128])
+    def test_cross_validation(self, ragged, monkeypatch, block):
+        streams, protos = ragged
+        monkeypatch.setattr(stream_module, "GRAM_BLOCK", block)
+        grid = [w for w, _ in self.GRID]
+        cv = cross_validate_w(streams, protos, grid, folds=2)
+        acc = {w: {user: float(np.mean(run_user_stream(
+                   records, protos, Strategy(kind="spc", w=w)).rank < 1))
+                   for user, records in streams.items()}
+               for w in grid}
+        assert cv.heldout_accuracy == [
+            {w: float(np.mean([acc[w][u] for u in fold])) for w in grid}
+            for fold in cv.folds]
+
+
+class TestReplayMemory:
+    @pytest.mark.parametrize("kind", ["spc", "spc-sum"])
+    def test_peak_is_bounded_by_the_blocks(self, kind):
+        """A stream where every record brings a new class, so |U| = T: no
+        replay array may span both classes and steps."""
+        T, dim = 1500, 8
+        rng = np.random.default_rng(0)
+        records = [LabeledRecord(user="u", t=t + 1, class_id=t,
+                                 vec=normalize(rng.standard_normal(dim)))
+                   for t in range(T)]
+        B = stream_module.GRAM_BLOCK
+        # O(|U| B + T (B + dim)) float64 cells, at 5 arrays' worth; one
+        # |U| x T float64 array alone is 18 MB
+        bound = 5 * 8 * (T * B + T * (B + dim))
+        tracemalloc.start()
+        try:
+            run_user_stream(records, None, Strategy(kind=kind))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
