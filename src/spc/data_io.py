@@ -203,12 +203,6 @@ class ReportTable:
     rows: list[tuple[str, list[float | None]]]
     notes: list[str] = field(default_factory=list)
 
-    def row(self, label: str) -> list[float | None]:
-        for name, values in self.rows:
-            if name == label:
-                return values
-        raise KeyError(label)
-
 
 def _render_cell(value: float | None) -> str:
     return "-" if value is None else f"{100.0 * value:.1f}"

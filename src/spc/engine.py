@@ -150,7 +150,12 @@ def spc_rank(query, store: UserStore | None, protos: PrototypeSet | None,
              cfg: SpcConfig | SumConfig,
              counter: DotCounter | None = None) -> Ranking:
     """Personalized ranking over C_u ∪ C_m: weighted max under a
-    SpcConfig, linear sum under a SumConfig."""
+    SpcConfig, linear sum under a SumConfig.
+
+    The per-call score arrays are sized by the largest class id in the
+    store and the prototype set. LabelRegistry ids are dense; a caller
+    with sparse ids pays for the gaps (ids 0 and 2,000,000 take about
+    20 ms and 38 MB per call)."""
     cand, s_user, s_proto, user_flags, has_protos = _gather_scores(
         query, store, protos, counter)
     return _sorted_ranking(cand, cfg.combine(s_user, s_proto, has_protos),

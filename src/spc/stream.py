@@ -9,14 +9,15 @@ arrays directly; Outcome objects are built only when a caller indexes or
 iterates a result. The in-union flag is the harness's own bookkeeping, so
 it holds even for strategies that do not learn.
 
-Every strategy is replayed by one column-blocked evaluator per user
-(_ClassScores) rather than step by step: since the store at step t holds
-exactly records 1..t-1, every score comes from arrays over the user's
-class union U and the steps, which do not depend on w or w_s. They are
-built GRAM_BLOCK steps at a time, each block's per-class max in one flat
-maximum.at, and every strategy of a call is ranked in a block before the
+Every strategy is replayed by one function, _replay, per user rather
+than step by step: since the store at step t holds exactly records
+1..t-1, every score comes from arrays over the user's class union U and
+the steps, which do not depend on w or w_s. Its one loop builds them
+GRAM_BLOCK steps at a time, each block's per-class max in one flat
+maximum.at, and ranks every strategy of a call in a block before the
 next one is built, so a replay holds no |U| x T or T x T array. The true
-class's rank position is a count rather than a sort.
+class's rank position is a count rather than a sort. run_streams, the
+sweeps and cross-validation share one loop over users, _sweep.
 """
 
 from __future__ import annotations
@@ -94,8 +95,8 @@ class UserResult:
 
     rank is the 0-based rank position of the true class, MISS where it was
     not a candidate, so a hit at k is rank < k. predicted is the top-1
-    class id, -1 where nothing was ranked; the results a sweep builds hold
-    None there, since sweeps skip the top-1.
+    class id, -1 where nothing was ranked; a sweep skips the top-1, so its
+    results hold None there, and so do their Outcome views.
 
     Indexing and iteration give Outcome views, built on demand; a slice
     is a UserResult. == compares what lists of the Outcome views would
@@ -118,7 +119,8 @@ class UserResult:
         return len(self.t)
 
     def __iter__(self):
-        columns = (getattr(self, name).tolist() for name in self.COLUMNS)
+        columns = ([-1] * len(self) if (col := getattr(self, name)) is None
+                   else col.tolist() for name in self.COLUMNS)
         for t, cls, pos, top, ini, uni in zip(*columns):
             yield Outcome(user=self.user, t=t, true_class=cls,
                           hits={k: pos < k for k in self.k_list},
@@ -183,12 +185,17 @@ def _columns(records, protos) -> dict:
                 in_union=in_initial | (first[inverse] < np.arange(T)))
 
 
-def _mean_versions(queries, ids, rows, seed_rows, seed_acc, seed_count):
+def _mean_versions(queries, ids, rows, protos, mode):
     """ncm-incr's matrix of mean versions: the |P| seeded means, then each
     record's class mean after absorbing it, in t order, by MeanState's
-    rule: a new class starts from the record, a known class adds the
-    record to its float64 sum."""
+    rule (a new class starts from the record, a known class adds the
+    record to its float64 sum). Also the version each class exposes at
+    step 1, -1 for none; record j's version P + j is exposed from j + 1."""
+    seed_ids, seed_acc, seed_count = MeanState.seed(protos, mode)
+    seed_rows = np.searchsorted(ids, seed_ids)
     P = len(seed_rows)
+    latest = np.full(len(ids), -1, dtype=np.intp)
+    latest[seed_rows] = np.arange(P)
     acc = dict(zip(seed_rows.tolist(), seed_acc))
     count = dict(zip(seed_rows.tolist(), seed_count.tolist()))
     sums = np.concatenate((seed_acc, np.empty_like(queries)))
@@ -197,18 +204,39 @@ def _mean_versions(queries, ids, rows, seed_rows, seed_acc, seed_count):
         acc[c] = acc[c] + queries[t] if c in acc else queries[t]
         count[c] = count.get(c, 0) + 1
         sums[P + t], counts[P + t] = acc[c], count[c]
-    return unit_means(sums, counts, ids[np.concatenate((seed_rows, rows))])
+    return unit_means(sums, counts,
+                      ids[np.concatenate((seed_rows, rows))]), latest
 
 
-class _ClassScores:
-    """Column-blocked evaluator for every strategy.
+def _rank(score, cand, true, tie_ahead, miss) -> np.ndarray:
+    """0-based rank position of the true class at each step of a block,
+    MISS where it is not a candidate."""
+    s_true = score[true]
+    ahead = cand & ((score > s_true) | ((score == s_true) & tie_ahead))
+    pos = ahead.sum(axis=0)
+    pos[miss] = MISS
+    return pos
+
+
+def _top1(score, cand, present, ids) -> np.ndarray:
+    """Predicted class at each step of a block, -1 with no candidate."""
+    best = score.max(axis=0, where=cand, initial=-np.inf)
+    top = cand & (score == best)
+    top_user = top & present
+    row = np.where(top_user.any(axis=0), top_user.argmax(axis=0),
+                   top.argmax(axis=0))
+    return np.where(top.any(axis=0), ids[row], -1)
+
+
+def _replay(records, protos, strategies, k_list, counter=None,
+            top1=True) -> list[UserResult]:
+    """One user's results under strategies that differ only in w or w_s.
 
     Under predict-then-learn the user store at step t holds exactly records
-    1..t-1, so every score of the replay comes from class-by-step arrays
-    over the sorted class union U (rows) and the steps (columns), none of
-    which depends on w or w_s. The constructor checks every input. Then
-    blocks() moves through the steps GRAM_BLOCK columns at a time, building
-    the current block's arrays, which score, rank and top1 read:
+    1..t-1, so every score comes from class-by-step arrays over the sorted
+    class union U (rows) and the steps (columns), none of which depends on
+    w or w_s. After every input is checked, one loop moves through the
+    steps GRAM_BLOCK columns at a time, building the block's arrays:
 
       su       per-class max user similarity over the records before t,
                0 where there is none (nearest-neighbor family only);
@@ -218,147 +246,92 @@ class _ClassScores:
                mean baselines);
       cand     the class is ranked at t.
 
-    A strategy's scores are one elementwise combination of su and sm. The
-    true class's rank position is then a count, with no sort: the
-    candidates scoring higher, plus those scoring equal that the tie rule
-    puts first (user-present, then the smaller id). Each block takes its
-    columns of the matrix products a whole-stream build makes; the
-    prototype product is one call over all steps, since a product's
-    rounding can depend on its shape.
+    and ranks every strategy in it before the next block is built. A
+    strategy's scores are one elementwise combination of su and sm. The
+    true class's rank position is a count, with no sort: the candidates
+    scoring higher, plus those scoring equal that the tie rule puts first
+    (user-present, then the smaller id). Each block takes its columns of
+    the matrix products a whole-stream build makes; the prototype product
+    is one call over all steps, since a product's rounding can depend on
+    its shape.
     """
-
-    def __init__(self, records: Sequence[LabeledRecord], cls: np.ndarray,
-                 protos: PrototypeSet | None, strategy: Strategy):
-        queries = stack_records(records, len(records[0].vec))
-        T, dim = queries.shape
-        self.means = strategy.kind in ("ncm-fixed", "ncm-incr")
-        self.use_protos = (strategy.kind != "1nn-star" and protos is not None
-                           and len(protos) > 0)
-        if self.means and not self.use_protos:
-            raise SpcError(f"strategy {strategy.kind} needs a non-empty "
-                           "prototype set")
-        if self.use_protos and protos.dim != dim:
-            raise DimensionMismatchError(
-                f"stream dim {dim} != prototype dim {protos.dim}")
-        proto_ids = protos.class_ids if self.use_protos else cls[:0]
-        self.ids, inverse = np.unique(np.concatenate((cls, proto_ids)),
-                                      return_inverse=True)
-        self.rows, self.proto_rows = inverse[:T], inverse[T:]
-        self.queries, self.learn = queries, strategy.learn
-        self.n_proto, self.versions = len(proto_ids), None
-        if strategy.kind == "ncm-incr":
-            seed_ids, seed_acc, seed_count = MeanState.seed(
-                protos, strategy.mean_mode)
-            seed_rows = np.searchsorted(self.ids, seed_ids)
-            # the version each class exposes at the next step, -1 for none;
-            # record j's version P + j is exposed from step j + 1 on
-            self.latest = np.full(len(self.ids), -1, dtype=np.intp)
-            self.latest[seed_rows] = np.arange(self.n_proto)
-            n = T if self.learn else 0
-            self.versions = _mean_versions(queries[:n], self.ids,
-                                           self.rows[:n], seed_rows,
-                                           seed_acc, seed_count)
-        elif self.use_protos:
-            self.proto_dots = protos.matrix64 @ queries.T
-
-    def _mean_block(self, b0, b1):
-        """ncm-incr's similarity of every class at steps b0..b1-1 to the
-        mean it exposes there, and whether it has one."""
-        n, P = b1 - b0, self.n_proto
-        # column k is step b0 + k; the extra last column carries to step b1
-        version = np.full((len(self.ids), n + 1), -1, dtype=np.intp)
-        version[:, 0] = self.latest
-        if self.learn:
-            version[self.rows[b0:b1], np.arange(1, n + 1)] = \
-                P + np.arange(b0, b1)
-        np.maximum.accumulate(version, axis=1, out=version)
-        self.latest, version = version[:, n].copy(), version[:, :n]
-        # no step before b1 exposes a later version
-        dots = self.versions[:P + b1] @ self.queries[b0:b1].T
-        return dots[np.maximum(version, 0), np.arange(n)], version >= 0
-
-    def blocks(self):
-        """Build each column block's arrays in step order, sm and su in two
-        buffers that every block reuses, and yield its steps as a slice."""
-        T, U = len(self.queries), len(self.ids)
-        in_proto = np.zeros(U, dtype=bool)
-        in_proto[self.proto_rows] = True
-        row_ids = np.arange(U)[:, None]
-        bufs = np.empty((2, U * GRAM_BLOCK))
-        for b0 in range(0, T, GRAM_BLOCK):
-            b1 = min(b0 + GRAM_BLOCK, T)
-            shape = (U, b1 - b0)
-            bufs[0], bufs[1] = 0.0, -np.inf
-            self.sm, self.su = (b[:U * (b1 - b0)].reshape(shape) for b in bufs)
-            cand = np.broadcast_to(in_proto[:, None], shape)
-            if self.versions is not None:
-                self.sm, cand = self._mean_block(b0, b1)
-            elif self.use_protos:
-                self.sm[self.proto_rows] = self.proto_dots[:, b0:b1]
-            self.present = np.zeros(shape, dtype=bool)
-            if not self.means:
-                if self.learn:
-                    _prefix_max(self.queries, self.rows, b0, self.su)
-                self.present = self.su > -np.inf
-                self.su[~self.present] = 0.0
-                cand = self.present | cand
-            self.cand, rows = cand, self.rows[b0:b1]
-            self.true = rows, np.arange(b1 - b0)
-            p_true = self.present[self.true]
-            self.tie_ahead = (self.present & ~p_true) | (
-                (self.present == p_true) & (row_ids < rows))
-            self.miss = ~cand[self.true]
-            yield slice(b0, b1)
-
-    def score(self, strategy: Strategy) -> np.ndarray:
-        """The strategy's post-weight score of every class at every step."""
-        if self.means:
-            return self.sm
-        return strategy.config.combine(self.su, self.sm, self.use_protos)
-
-    def rank(self, score: np.ndarray) -> np.ndarray:
-        """0-based rank position of the true class at each step, MISS where
-        it is not a candidate."""
-        s_true = score[self.true]
-        ahead = self.cand & ((score > s_true)
-                             | ((score == s_true) & self.tie_ahead))
-        pos = ahead.sum(axis=0)
-        pos[self.miss] = MISS
-        return pos
-
-    def top1(self, score: np.ndarray) -> np.ndarray:
-        """Predicted class at each step, -1 where there is no candidate."""
-        best = score.max(axis=0, where=self.cand, initial=-np.inf)
-        top = self.cand & (score == best)
-        top_user = top & self.present
-        row = np.where(top_user.any(axis=0), top_user.argmax(axis=0),
-                       top.argmax(axis=0))
-        return np.where(top.any(axis=0), self.ids[row], -1)
-
-
-def _replay(records, protos, strategies, k_list, counter=None,
-            top1=True) -> list[UserResult]:
-    """One user's results under strategies that differ only in w or w_s,
-    all ranked in each column block of one build of the class scores."""
     columns = _columns(records, protos)
-    T = len(records)
+    T, kind, learn = len(records), strategies[0].kind, strategies[0].learn
     ranks = [np.empty(T, dtype=np.intp) for _ in strategies]
     tops = [np.empty(T, dtype=np.int64) if top1 else None for _ in strategies]
     if T:
         with np.errstate(invalid="raise", over="raise"):
-            scores = _ClassScores(records, columns["true_class"], protos,
-                                  strategies[0])
+            queries = stack_records(records, dim := len(records[0].vec))
+            means = kind in ("ncm-fixed", "ncm-incr")
+            use_protos = kind != "1nn-star" and bool(protos)
+            if means and not use_protos:
+                raise SpcError(f"strategy {kind} needs a non-empty "
+                               "prototype set")
+            if use_protos and protos.dim != dim:
+                raise DimensionMismatchError(
+                    f"stream dim {dim} != prototype dim {protos.dim}")
+            cls = columns["true_class"]
+            proto_ids = protos.class_ids if use_protos else cls[:0]
+            ids, inverse = np.unique(np.concatenate((cls, proto_ids)),
+                                     return_inverse=True)
+            rows, proto_rows = inverse[:T], inverse[T:]
+            P, U = len(proto_ids), len(ids)
+            if kind == "ncm-incr":
+                seen = T if learn else 0
+                versions, latest = _mean_versions(
+                    queries[:seen], ids, rows[:seen], protos,
+                    strategies[0].mean_mode)
+            elif use_protos:
+                proto_dots = protos.matrix64 @ queries.T
+            in_proto = np.zeros(U, dtype=bool)
+            in_proto[proto_rows] = True
+            row_ids = np.arange(U)[:, None]
+            # sm and su live in two buffers that every block reuses
+            bufs = np.empty((2, U * GRAM_BLOCK))
             # the dot products a per-call replay spends at each step
-            dots = np.arange(T) * scores.learn + scores.n_proto
-            for b in scores.blocks():
-                if scores.means and counter is not None:
-                    dots[b] = scores.cand.sum(axis=0)
+            dots = np.arange(T) * learn + P
+            for b0 in range(0, T, GRAM_BLOCK):
+                b1 = min(b0 + GRAM_BLOCK, T)
+                b, n, block_rows = slice(b0, b1), b1 - b0, rows[b0:b1]
+                steps = np.arange(n)
+                bufs[0], bufs[1] = 0.0, -np.inf
+                sm, su = (buf[:U * n].reshape(U, n) for buf in bufs)
+                cand = np.broadcast_to(in_proto[:, None], (U, n))
+                if kind == "ncm-incr":
+                    # column k is step b0 + k; column n carries to step b1
+                    version = np.full((U, n + 1), -1, dtype=np.intp)
+                    version[:, 0] = latest
+                    if learn:
+                        version[block_rows, steps + 1] = P + np.arange(b0, b1)
+                    np.maximum.accumulate(version, axis=1, out=version)
+                    latest, version = version[:, n].copy(), version[:, :n]
+                    # no step before b1 exposes a later version
+                    sm = (versions[:P + b1] @ queries[b].T)[
+                        np.maximum(version, 0), steps]
+                    cand = version >= 0
+                elif use_protos:
+                    sm[proto_rows] = proto_dots[:, b]
+                present = np.zeros((U, n), dtype=bool)
+                if not means:
+                    if learn:
+                        _prefix_max(queries, rows, b0, su)
+                    present = su > -np.inf
+                    su[~present] = 0.0
+                    cand = present | cand
+                true = block_rows, steps
+                p_true = present[true]
+                tie_ahead = (present & ~p_true) | (
+                    (present == p_true) & (row_ids < block_rows))
+                miss = ~cand[true]
+                if means and counter is not None:
+                    dots[b] = cand.sum(axis=0)
                 for strategy, rank, top in zip(strategies, ranks, tops):
                     # one strategy's score block is freed before the next
-                    score = scores.score(strategy)
-                    rank[b] = scores.rank(score)
+                    score = sm if means else strategy.config.combine(
+                        su, sm, use_protos)
+                    rank[b] = _rank(score, cand, true, tie_ahead, miss)
                     if top is not None:
-                        top[b] = scores.top1(score)
+                        top[b] = _top1(score, cand, present, ids)
         if counter is not None:
             # steps that rank nothing make no ranking call
             dots = dots[dots != 0]
@@ -394,8 +367,7 @@ def run_streams(streams: dict[str, list[LabeledRecord]],
                 protos: PrototypeSet | None, strategy: Strategy,
                 k_list: Sequence[int] = (1, 5)) -> dict[str, UserResult]:
     """Evaluate every user independently; users never share state."""
-    return {user: run_user_stream(recs, protos, strategy, k_list)
-            for user, recs in sorted(streams.items())}
+    return _sweep(streams, protos, [strategy], k_list, top1=True)[0]
 
 
 @dataclass
@@ -505,14 +477,15 @@ def evaluate(streams: dict[str, list[LabeledRecord]],
                          bucket_width=bucket_width, k_list=k_list)
 
 
-def _sweep(streams, protos, strategies, k_list) -> list[dict[str, UserResult]]:
-    """Per-user results, without the top-1, of strategies that differ only
-    in w or w_s."""
+def _sweep(streams, protos, strategies, k_list,
+           top1=False) -> list[dict[str, UserResult]]:
+    """Per-user results of strategies that differ only in w or w_s, with
+    the top-1 only if asked for."""
     if not strategies:
         raise SpcError("empty parameter grid")
     # one user's class scores are freed before the next user's are built
     per_user = {user: _replay(list(recs), protos, strategies, k_list,
-                              top1=False)
+                              top1=top1)
                 for user, recs in sorted(streams.items())}
     return [{user: results[i] for user, results in per_user.items()}
             for i in range(len(strategies))]

@@ -7,9 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spc.stream as stream_module
+from spc.core import UNIT_NORM_TOL
 from spc.cli import STRATEGIES
 from spc import (BucketReport, DimensionMismatchError, DotCounter,
-                 LabeledRecord, PrototypeSet, ReportTable, SpcConfig,
+                 LabeledRecord, NormalizationError, PrototypeSet,
+                 ReportTable, SpcConfig,
                  SpcError, Strategy, SumConfig, SynthConfig, UserStore,
                  bucket_report, cross_validate_w, evaluate,
                  generate_synthetic, group_by_user, normalize, register,
@@ -79,6 +81,37 @@ class TestProtocol:
 
     def test_empty_stream(self):
         assert run_user_stream([], self.protos, Strategy(kind="spc")) == []
+
+
+def raw(user, t, cls, vec):
+    """A record whose vector is taken as given, unit or not."""
+    return LabeledRecord(user=user, t=t, class_id=cls,
+                         vec=np.array(vec, np.float32))
+
+
+class TestCheckOrder:
+    """A stream with two faults fails on the one checked first: t order,
+    then each vector's shape and norm, then the prototype set."""
+
+    @pytest.mark.parametrize("kind, protos, records, error, message", [
+        ("spc", PrototypeSet(2, class_ids=[0], vectors=[[1.0, 0.0]]),
+         [raw("u", 1, 0, [1.0, 0.0]), raw("u", 3, 0, [1.0, 1.0])],
+         SpcError, "user 'u': stream t values not contiguous "
+                   "(expected 2, got 3)"),
+        ("spc", PrototypeSet(2, class_ids=[0], vectors=[[1.0, 0.0]]),
+         [raw("u", 1, 0, [1.0, 0.0, 0.0]), raw("u", 2, 0, [1.0, 1.0, 0.0])],
+         NormalizationError, "record of user 'u' at t=2: vector is not "
+                             f"unit-normalized within {UNIT_NORM_TOL}"),
+        ("ncm-fixed", None,
+         [raw("u", 1, 0, [1.0, 0.0]), raw("u", 2, 0, [1.0, 0.0, 0.0])],
+         DimensionMismatchError, "record of user 'u' at t=2: vector shape "
+                                 "(3,), expected (2,)"),
+    ], ids=["t-before-norm", "norm-before-proto-dim",
+            "shape-before-empty-protos"])
+    def test_first_check_wins(self, kind, protos, records, error, message):
+        with pytest.raises(error) as got:
+            run_user_stream(records, protos, Strategy(kind=kind))
+        assert str(got.value) == message
 
 
 class TestInvariants:
@@ -696,6 +729,22 @@ class TestColumnarResults:
             assert o.hits == {1: pos < 1, 3: pos < 3}
         with pytest.raises(IndexError):
             result[len(result)]
+
+    @pytest.mark.parametrize("strategy", list(STRATEGIES.values()),
+                             ids=list(STRATEGIES))
+    def test_sweep_results_give_outcome_views(self, ragged, strategy):
+        # a sweep skips the top-1, so its views hold no prediction
+        streams, protos = ragged
+        swept = stream_module._sweep(streams, protos, [strategy], (1, 3))[0]
+        for user, records in streams.items():
+            want = [dataclasses.replace(o, predicted=None) for o in
+                    run_user_stream(records, protos, strategy, (1, 3))]
+            got = swept[user]
+            assert got.predicted is None
+            assert list(got) == want
+            assert [got[i] for i in range(len(got))] == want
+            assert got[-1] == want[-1]
+            assert list(got[2:9]) == want[2:9]
 
 
 class TestSweepTableArguments:
