@@ -142,6 +142,11 @@ class UserStore:
     are never mutated or reordered. The embeddings are kept once, as float64
     rows holding float32 values, so ranking accumulates in 64-bit without
     per-call conversion.
+
+    Each class has a dense slot, numbered by first arrival and assigned
+    when a ranking reads `slots`, which keeps append free of it. The store
+    keeps its last ranking's ClassLayout, which the next ranking extends,
+    so calls that append to or rank one store must not overlap.
     """
 
     def __init__(self, dim: int) -> None:
@@ -151,23 +156,30 @@ class UserStore:
         self._vecs = np.empty((32, dim))
         self._classes = np.empty(32, dtype=np.int64)
         self._n = 0
+        # row -> slot for _n_slotted rows; class id -> slot, in slot order
+        self._slots = np.empty(32, dtype=np.intp)
+        self._n_slotted = 0
+        self._slot_of: dict[int, int] = {}
+        self._layout: ClassLayout | None = None
 
     def append(self, vec: np.ndarray, class_id: int) -> None:
         v = np.asarray(vec, dtype=np.float32)
+        n = self._n
         if v.shape == (self.dim,):
-            if self._n == len(self._classes):
+            if n == len(self._classes):
                 # new arrays, so views handed out earlier keep their rows
-                self._vecs = np.resize(self._vecs, (2 * self._n, self.dim))
-                self._classes = np.resize(self._classes, 2 * self._n)
+                self._vecs = np.resize(self._vecs, (2 * n, self.dim))
+                self._classes = np.resize(self._classes, 2 * n)
             # the float32 values go straight into the row past the end,
             # which is not visible until _n moves, and are checked there
-            self._vecs[self._n] = v
-            v = self._vecs[self._n]
-        check_unit(v, self.dim)
+            self._vecs[n] = v
+            check_unit(self._vecs[n])
+        else:
+            check_unit(v, self.dim)  # raises: the shape is wrong
         if class_id < 0:
             raise SpcError(f"class id must be >= 0, got {class_id}")
-        self._classes[self._n] = class_id
-        self._n += 1
+        self._classes[n] = class_id
+        self._n = n + 1
 
     def __len__(self) -> int:
         return self._n
@@ -180,12 +192,38 @@ class UserStore:
     def classes(self) -> np.ndarray:
         return self._classes[: self._n]
 
+    @property
+    def slots(self) -> np.ndarray:
+        """Each row's class slot."""
+        n0, n = self._n_slotted, self._n
+        if n0 < n:
+            if len(self._slots) < n:
+                self._slots = np.resize(self._slots, len(self._classes))
+            slot_of = self._slot_of
+            self._slots[n0:n] = [slot_of.setdefault(c, len(slot_of))
+                                 for c in self._classes[n0:n].tolist()]
+            self._n_slotted = n
+        return self._slots[:n]
+
+    def layout(self, protos: PrototypeSet | None) -> ClassLayout:
+        """The class layout of this store against protos: the one of the
+        last call while protos is the same object, extended by the
+        classes that arrived since."""
+        self.slots  # assigns the slots of new rows
+        layout = self._layout
+        if layout is None or layout.protos is not protos:
+            layout = self._layout = ClassLayout(protos, self._slot_of)
+        elif len(self._slot_of) > len(layout.slot_pos):
+            layout.extend(self._slot_of)
+        return layout
+
 
 class PrototypeSet:
     """One unit-normalized mean embedding per initial class (shared by users).
 
     `counts` optionally records how many training samples produced each
     prototype; mean-update baselines need it for full-history seeding.
+    `row_of` maps each class id to its row.
     """
 
     def __init__(self, dim: int, class_ids=(), vectors=None, counts=None) -> None:
@@ -196,7 +234,8 @@ class PrototypeSet:
         if vectors is None:
             vectors = np.empty((0, dim), dtype=np.float32)
         vecs = np.asarray(vectors, dtype=np.float32).reshape(len(ids), dim)
-        if len(set(ids.tolist())) != len(ids):
+        self.row_of = {c: r for r, c in enumerate(ids.tolist())}
+        if len(self.row_of) != len(ids):
             raise SpcError("duplicate class id in prototype set")
         if (ids < 0).any():
             raise SpcError(f"class id must be >= 0, got {ids.min()}")
@@ -217,3 +256,46 @@ class PrototypeSet:
 
     def __len__(self) -> int:
         return len(self.class_ids)
+
+
+class ClassLayout:
+    """The class union of one user store and one prototype set, laid out
+    for ranking: the prototype classes first, in row order, then the
+    store-only classes in the order they arrived.
+
+      ids        the class id at each union position;
+      slot_pos   the union position of each store slot;
+      tie_order  the union positions from last to first under the tie
+                 rule (classes in the store first, then the smaller id):
+                 a stable ascending sort in this order, read backwards;
+      tie_ids    ids[tie_order].
+
+    A layout only grows: extend lays out the classes that are new since it
+    last ran, so a class costs layout work once.
+    """
+
+    def __init__(self, protos: PrototypeSet | None, slot_of=()) -> None:
+        self.protos = protos
+        self.ids = (protos.class_ids if protos is not None
+                    else np.empty(0, dtype=np.int64))
+        self.slot_pos = np.empty(0, dtype=np.intp)
+        self.extend(slot_of)
+
+    def extend(self, slot_of) -> None:
+        """Lay out a store's classes (the class ids of its slots, in slot
+        order) past the slots already laid out, and order the ties."""
+        row_of = self.protos.row_of if self.protos is not None else {}
+        new_ids, pos = [], []
+        for c in list(slot_of)[len(self.slot_pos):]:
+            row = row_of.get(c)
+            if row is None:
+                row = len(self.ids) + len(new_ids)
+                new_ids.append(c)
+            pos.append(row)
+        self.slot_pos = np.concatenate(
+            (self.slot_pos, np.array(pos, dtype=np.intp)))
+        self.ids = np.concatenate((self.ids, np.array(new_ids, np.int64)))
+        not_user = np.ones(len(self.ids), dtype=bool)
+        not_user[self.slot_pos] = False
+        self.tie_order = np.lexsort((self.ids, not_user))[::-1].copy()
+        self.tie_ids = self.ids[self.tie_order]

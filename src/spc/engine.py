@@ -1,6 +1,6 @@
 """Classification kernel: class similarity, weighted-max and linear-sum
-ranking over a user store plus common prototypes, and the mean-update
-baselines.
+ranking over a user store plus common prototypes, and the seeding of the
+mean-update baselines.
 
 Scoring rules
 -------------
@@ -13,7 +13,8 @@ where s(c, q, V) is the maximum dot product between q and the stored
 vectors of class c, and exactly 0 when V holds no vector of class c.
 Each rule lives once, in SpcConfig.combine and SumConfig.combine, which
 spc_rank and the stream evaluator (via Strategy.config) call. 1-NN is
-w = 1; ncm_rank is the linear sum at w_s = 1 over an empty user store.
+w = 1; nearest class mean is the linear sum at w_s = 1 over an empty user
+store.
 
 Tie rule (rankings are fully deterministic): score descending, then
 classes present in the user store before prototype-only classes, then
@@ -28,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (DimensionMismatchError, PrototypeSet, SpcError, UserStore,
-                   check_unit)
+from .core import (ClassLayout, DimensionMismatchError, PrototypeSet,
+                   SpcError, UserStore, check_unit)
 
 
 @dataclass(frozen=True)
@@ -101,77 +102,49 @@ class DotCounter:
         self.per_call.append(n)
 
 
-def _gather_scores(query, store: UserStore | None, protos: PrototypeSet | None,
-                   counter: DotCounter | None):
-    """Per-class max of the user dots and the prototype dots, absent
-    classes 0.
-
-    Returns (candidate ids, user score, proto score, user-presence flags,
-    whether any prototype was scored).
-    """
-    dims = {s.dim for s in (store, protos) if s is not None}
-    if not dims:
-        raise SpcError("nothing to predict: no user store and no prototypes")
-    if len(dims) > 1:
-        raise DimensionMismatchError("store/prototype dimension mismatch")
-    q = check_unit(query, dims.pop())
-    n_user = len(store) if store is not None else 0
-    n_proto = len(protos) if protos is not None else 0
-    if n_user == 0 and n_proto == 0:
-        raise SpcError("nothing to predict: empty class union")
-    size = 1 + max(int(store.classes.max()) if n_user else -1,
-                   int(protos.class_ids.max()) if n_proto else -1)
-
-    # every dot is finite (unit vectors are checked), so -inf marks the
-    # classes with no user vector
-    su = np.full(size, -np.inf)
-    if n_user:
-        np.maximum.at(su, store.classes, store.vectors64 @ q)
-    in_user = su > -np.inf
-    su[~in_user] = 0.0
-    sm = np.zeros(size)
-    in_proto = np.zeros(size, dtype=bool)
-    if n_proto:
-        sm[protos.class_ids] = protos.matrix64 @ q
-        in_proto[protos.class_ids] = True
-
-    if counter is not None:
-        counter.add(n_user + n_proto)
-    cand = np.flatnonzero(in_user | in_proto)
-    return cand, su[cand], sm[cand], in_user[cand], n_proto > 0
-
-
-def _sorted_ranking(cand, scores, user_flags) -> Ranking:
-    order = np.lexsort((cand, ~user_flags, -scores))
-    return Ranking(class_ids=cand[order], scores=scores[order])
-
-
 def spc_rank(query, store: UserStore | None, protos: PrototypeSet | None,
              cfg: SpcConfig | SumConfig,
              counter: DotCounter | None = None) -> Ranking:
     """Personalized ranking over C_u ∪ C_m: weighted max under a
     SpcConfig, linear sum under a SumConfig.
 
-    The per-call score arrays are sized by the largest class id in the
-    store and the prototype set. LabelRegistry ids are dense; a caller
-    with sparse ids pays for the gaps (ids 0 and 2,000,000 take about
-    20 ms and 38 MB per call)."""
-    cand, s_user, s_proto, user_flags, has_protos = _gather_scores(
-        query, store, protos, counter)
-    return _sorted_ranking(cand, cfg.combine(s_user, s_proto, has_protos),
-                           user_flags)
+    Scores live in the store's ClassLayout against protos, so every array
+    is sized by the number of classes, not by the largest id: the
+    prototype product fills the first positions, each store slot's max
+    dot goes to its union position, and one stable sort in the layout's
+    tie order ranks them."""
+    if store is None and protos is None:
+        raise SpcError("nothing to predict: no user store and no prototypes")
+    if store is not None and protos is not None and store.dim != protos.dim:
+        raise DimensionMismatchError("store/prototype dimension mismatch")
+    q = check_unit(query, (store if store is not None else protos).dim)
+    n_user = len(store) if store is not None else 0
+    n_proto = len(protos) if protos is not None else 0
+    if n_user == 0 and n_proto == 0:
+        raise SpcError("nothing to predict: empty class union")
+    if counter is not None:
+        counter.add(n_user + n_proto)
+
+    layout = (store.layout(protos) if store is not None
+              else ClassLayout(protos))
+    n = len(layout.ids)
+    su = np.zeros(n)
+    if n_user:
+        # every dot is finite (unit vectors are checked), and every slot
+        # holds a vector, so no -inf is left
+        best = np.full(len(layout.slot_pos), -np.inf)
+        np.maximum.at(best, store.slots, store.vectors64 @ q)
+        su[layout.slot_pos] = best
+    sm = np.zeros(n)
+    if n_proto:
+        sm[:n_proto] = protos.matrix64 @ q
+    score = cfg.combine(su, sm, n_proto > 0)
+    score = score[layout.tie_order]
+    order = score.argsort(kind="stable")[::-1]
+    return Ranking(class_ids=layout.tie_ids[order], scores=score[order])
 
 
 spc_sum_rank = spc_rank
-
-
-def ncm_rank(query, protos: PrototypeSet,
-             counter: DotCounter | None = None) -> Ranking:
-    """Nearest-class-mean ranking over the prototype classes only: the
-    linear sum at w_s = 1 over an empty user store."""
-    if protos is None or len(protos) == 0:
-        raise SpcError("empty prototype set")
-    return spc_rank(query, None, protos, SumConfig(1.0), counter)
 
 
 def register(store: UserStore, vec, class_id: int) -> UserStore:
@@ -181,9 +154,10 @@ def register(store: UserStore, vec, class_id: int) -> UserStore:
 
 
 def unit_means(acc: np.ndarray, count, class_ids) -> np.ndarray:
-    """Rows acc / count, each scaled to unit length: the means a MeanState
-    exposes. Each row's norm is its own dot product, so a row comes out the
-    same whether it is computed alone or in a batch."""
+    """Rows acc / count, each scaled to unit length: the running means of
+    the incremental-mean baselines. Each row's norm is its own dot
+    product, so a row comes out the same whether it is computed alone or
+    in a batch."""
     means = acc / np.reshape(count, (-1, 1))
     norms = np.array([math.sqrt(m.dot(m)) for m in means])
     zero = np.flatnonzero(norms == 0.0)
@@ -194,31 +168,18 @@ def unit_means(acc: np.ndarray, count, class_ids) -> np.ndarray:
 
 
 class MeanState:
-    """Per-class running means for the incremental-mean baselines.
+    """Seeding of the per-class running means of the incremental-mean
+    baselines, which the stream replay builds from these seeds.
 
     Seeding modes:
       full-history : each initial class starts at its true training count
                      (the prototype stands for that many samples);
       mean-as-one  : each initial class starts at count 1 (the prototype
                      counts as a single sample).
-
-    The accumulator stays raw in float64; the exposed prototype is
-    normalize(accumulator / count), renormalized at read time only. The
-    exposed prototypes are one matrix with a row per class in class-id
-    order. A new class inserts its row in place rather than appending it:
-    a matrix product's rounding depends on each row's position, and id
-    order keeps every score independent of the order classes arrived in.
     """
 
     FULL_HISTORY = "full-history"
     MEAN_AS_ONE = "mean-as-one"
-
-    def __init__(self, dim: int) -> None:
-        self.dim = dim
-        self._acc: dict[int, np.ndarray] = {}
-        self._count: dict[int, int] = {}
-        self._ids = np.empty(0, dtype=np.int64)
-        self._exposed = np.empty((0, dim))
 
     @classmethod
     def seed(cls, protos: PrototypeSet,
@@ -239,49 +200,3 @@ class MeanState:
         else:
             raise SpcError(f"unknown mean seeding mode {mode!r}")
         return ids, protos.matrix64[order] * count[:, None], count
-
-    @classmethod
-    def from_prototypes(cls, protos: PrototypeSet, mode: str) -> "MeanState":
-        ids, acc, count = cls.seed(protos, mode)
-        state = cls(protos.dim)
-        state._acc = dict(zip(ids.tolist(), acc))
-        state._count = dict(zip(ids.tolist(), count.tolist()))
-        state._ids = ids
-        state._exposed = unit_means(acc, count, ids)
-        return state
-
-    def _row(self, class_id: int) -> int:
-        return int(np.searchsorted(self._ids, class_id))
-
-    def update(self, vec, class_id: int) -> "MeanState":
-        v = check_unit(vec, self.dim)
-        class_id = int(class_id)
-        known = class_id in self._acc
-        self._acc[class_id] = self._acc[class_id] + v if known else v.copy()
-        self._count[class_id] = self._count.get(class_id, 0) + 1
-        mean = unit_means(self._acc[class_id][None], self._count[class_id],
-                          (class_id,))[0]
-        row = self._row(class_id)
-        if known:
-            self._exposed[row] = mean
-        else:
-            self._ids = np.insert(self._ids, row, class_id)
-            self._exposed = np.insert(self._exposed, row, mean, axis=0)
-        return self
-
-    def count(self, class_id: int) -> int:
-        return self._count[class_id]
-
-    def prototype(self, class_id: int) -> np.ndarray:
-        if class_id not in self._acc:
-            raise KeyError(class_id)
-        return self._exposed[self._row(class_id)].copy()
-
-    def rank(self, query, counter: DotCounter | None = None) -> Ranking:
-        if not len(self._ids):
-            raise SpcError("empty mean state")
-        q = check_unit(query, self.dim)
-        if counter is not None:
-            counter.add(len(self._ids))
-        return _sorted_ranking(self._ids, self._exposed @ q,
-                               np.zeros(len(self._ids), dtype=bool))

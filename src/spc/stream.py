@@ -483,6 +483,9 @@ def _sweep(streams, protos, strategies, k_list,
     the top-1 only if asked for."""
     if not strategies:
         raise SpcError("empty parameter grid")
+    # _replay takes kind, learn and mean_mode from the first strategy
+    if len({replace(s, w=1.0, w_s=1.0) for s in strategies}) > 1:
+        raise SpcError("a replay's strategies may differ only in w or w_s")
     # one user's class scores are freed before the next user's are built
     per_user = {user: _replay(list(recs), protos, strategies, k_list,
                               top1=top1)

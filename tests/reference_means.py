@@ -1,17 +1,96 @@
 """Reference replay of the mean baselines, kept as the plain per-step loop.
 
 The whole-stream evaluator replays ncm-fixed and ncm-incr from a matrix of
-mean versions; this loop ranks each record through the per-call engine
-(`ncm_rank`, `MeanState.rank`) and then updates the means, and the two must
-agree record by record.
+mean versions; this loop ranks each record through a per-call classifier
+(`ncm_rank`, `RunningMeans.rank`) and then updates the means, and the two
+must agree record by record.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from spc import MeanState, SpcError, ncm_rank
+from spc import (DotCounter, MeanState, PrototypeSet, Ranking, SpcError,
+                 SumConfig, spc_rank)
+from spc.core import check_unit
+from spc.engine import unit_means
 from spc.stream import MISS
+
+
+def ncm_rank(query, protos: PrototypeSet,
+             counter: DotCounter | None = None) -> Ranking:
+    """Nearest-class-mean ranking over the prototype classes only: the
+    linear sum at w_s = 1 over an empty user store."""
+    if protos is None or len(protos) == 0:
+        raise SpcError("empty prototype set")
+    return spc_rank(query, None, protos, SumConfig(1.0), counter)
+
+
+class RunningMeans(MeanState):
+    """Per-class running means, updated and ranked one record at a time.
+
+    The accumulator stays raw in float64; the exposed prototype is
+    normalize(accumulator / count), renormalized at read time only. The
+    exposed prototypes are one matrix with a row per class in class-id
+    order. A new class inserts its row in place rather than appending it:
+    a matrix product's rounding depends on each row's position, and id
+    order keeps every score independent of the order classes arrived in.
+    """
+
+    def __init__(self, dim: int) -> None:
+        self.dim = dim
+        self._acc: dict[int, np.ndarray] = {}
+        self._count: dict[int, int] = {}
+        self._ids = np.empty(0, dtype=np.int64)
+        self._exposed = np.empty((0, dim))
+
+    @classmethod
+    def from_prototypes(cls, protos: PrototypeSet,
+                        mode: str) -> "RunningMeans":
+        ids, acc, count = cls.seed(protos, mode)
+        state = cls(protos.dim)
+        state._acc = dict(zip(ids.tolist(), acc))
+        state._count = dict(zip(ids.tolist(), count.tolist()))
+        state._ids = ids
+        state._exposed = unit_means(acc, count, ids)
+        return state
+
+    def _row(self, class_id: int) -> int:
+        return int(np.searchsorted(self._ids, class_id))
+
+    def update(self, vec, class_id: int) -> "RunningMeans":
+        v = check_unit(vec, self.dim)
+        class_id = int(class_id)
+        known = class_id in self._acc
+        self._acc[class_id] = self._acc[class_id] + v if known else v.copy()
+        self._count[class_id] = self._count.get(class_id, 0) + 1
+        mean = unit_means(self._acc[class_id][None], self._count[class_id],
+                          (class_id,))[0]
+        row = self._row(class_id)
+        if known:
+            self._exposed[row] = mean
+        else:
+            self._ids = np.insert(self._ids, row, class_id)
+            self._exposed = np.insert(self._exposed, row, mean, axis=0)
+        return self
+
+    def count(self, class_id: int) -> int:
+        return self._count[class_id]
+
+    def prototype(self, class_id: int) -> np.ndarray:
+        if class_id not in self._acc:
+            raise KeyError(class_id)
+        return self._exposed[self._row(class_id)].copy()
+
+    def rank(self, query, counter: DotCounter | None = None) -> Ranking:
+        if not len(self._ids):
+            raise SpcError("empty mean state")
+        q = check_unit(query, self.dim)
+        if counter is not None:
+            counter.add(len(self._ids))
+        scores = self._exposed @ q
+        order = np.lexsort((self._ids, -scores))
+        return Ranking(class_ids=self._ids[order], scores=scores[order])
 
 
 def reference_mean_replay(records, protos, strategy, counter=None):
@@ -20,7 +99,7 @@ def reference_mean_replay(records, protos, strategy, counter=None):
     if protos is None or len(protos) == 0:
         raise SpcError(f"strategy {strategy.kind} needs a non-empty "
                        "prototype set")
-    means = (MeanState.from_prototypes(protos, strategy.mean_mode)
+    means = (RunningMeans.from_prototypes(protos, strategy.mean_mode)
              if strategy.kind == "ncm-incr" else None)
     positions, predicted = [], []
     for rec in records:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spc import (DimensionMismatchError, DotCounter, MeanState, PrototypeSet,
-                 SpcConfig, SpcError, SumConfig, UserStore, ncm_rank,
-                 normalize, register, spc_rank, spc_sum_rank)
+                 SpcConfig, SpcError, SumConfig, UserStore, normalize,
+                 register, spc_rank, spc_sum_rank)
 from spc.core import check_unit
 
 from .oracle import brute_force_rank
+from .reference_means import RunningMeans, ncm_rank
+from .reference_rank import id_indexed_rank
 
 
 def class_similarity(class_id: int, query, store) -> float:
@@ -188,6 +191,87 @@ class TestSpcRank:
         assert r.class_ids.tolist() == [2, 5, 1]
 
 
+class TestClassLayout:
+    """spc_rank over a store's class layout against the id-indexed
+    reference it replaced, which makes the same matrix products: the same
+    Ranking, bit for bit."""
+
+    @staticmethod
+    def assert_same(query, store, protos, cfg):
+        got = spc_rank(query, store, protos, cfg)
+        want = id_indexed_rank(query, store, protos, cfg)
+        assert got.class_ids.dtype == want.class_ids.dtype
+        np.testing.assert_array_equal(got.class_ids, want.class_ids)
+        assert got.scores.tobytes() == want.scores.tobytes()
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_id_indexed_reference(self, seed):
+        # class ids arrive out of id order; the two prototype sets overlap
+        # in part, and some classes are store-only or prototype-only;
+        # signed vectors give negative dots, so many scores tie at 0, and
+        # a small pool repeats vectors, so equal scores tie too
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(2, 12))
+        signed = bool(rng.integers(0, 2))
+        pool = [normalize(v if signed else np.abs(v))
+                for v in rng.standard_normal((6, dim))]
+
+        def vec():
+            return pool[rng.integers(0, len(pool))] if rng.integers(0, 3) \
+                else normalize(rng.standard_normal(dim) if signed
+                               else np.abs(rng.standard_normal(dim)))
+
+        def proto_set(ids):
+            return PrototypeSet(dim, class_ids=ids,
+                                vectors=np.stack([vec() for _ in ids])
+                                if len(ids) else None)
+
+        sets = [proto_set(rng.choice(30, size=int(rng.integers(1, 12)),
+                                     replace=False)),
+                proto_set(rng.choice(30, size=int(rng.integers(0, 12)),
+                                     replace=False)),
+                None]
+        cfgs = [SpcConfig(float(rng.uniform(0.05, 1.0))), SpcConfig(1.0),
+                SumConfig(float(rng.uniform(0.0, 1.0))), SumConfig(1.0)]
+        store = UserStore(dim)
+        for _ in range(int(rng.integers(1, 60))):
+            q = vec()
+            # the same store ranked alternately against both sets and
+            # alone, then appended to between calls
+            for protos in sets:
+                if len(store) or (protos is not None and len(protos)):
+                    self.assert_same(q, store, protos,
+                                     cfgs[rng.integers(0, len(cfgs))])
+            for protos in sets[:2]:
+                if len(protos):
+                    self.assert_same(q, None, protos,
+                                     cfgs[rng.integers(0, len(cfgs))])
+            store.append(vec(), int(rng.integers(0, 40)))
+
+    def test_sparse_ids_rank_in_little_memory(self):
+        # arrays sized by the largest id would take 16 MB each here
+        rng = np.random.default_rng(17)
+        store = UserStore(8)
+        for c in (2_000_000, 0, 2_000_000):
+            store.append(normalize(rng.standard_normal(8)), c)
+        protos = PrototypeSet(8, class_ids=[2_000_000, 0],
+                              vectors=np.stack([normalize(
+                                  rng.standard_normal(8)) for _ in range(2)]))
+        q = normalize(rng.standard_normal(8))
+        tracemalloc.start()
+        try:
+            rankings = [spc_rank(q, s, p, cfg)
+                        for s, p in ((store, protos), (store, None),
+                                     (None, protos))
+                        for cfg in (SpcConfig(0.85), SumConfig(0.5))]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        for r in rankings:
+            assert sorted(r.class_ids.tolist()) == [0, 2_000_000]
+
+
 class TestSpcSumRank:
     def test_ws_zero_matches_user_only_order(self):
         rng = np.random.default_rng(7)
@@ -300,20 +384,20 @@ class TestMeanState:
     def test_update_with_identical_vector_keeps_mean(self):
         m = unit2(1, 0)
         protos = PrototypeSet(2, class_ids=[0], vectors=[m])
-        state = MeanState.from_prototypes(protos, MeanState.MEAN_AS_ONE)
+        state = RunningMeans.from_prototypes(protos, MeanState.MEAN_AS_ONE)
         state.update(m, 0)
         np.testing.assert_allclose(state.prototype(0), m, atol=1e-7)
 
     def test_mean_as_one_moves_halfway(self):
         protos = PrototypeSet(2, class_ids=[0], vectors=[unit2(1, 0)])
-        state = MeanState.from_prototypes(protos, MeanState.MEAN_AS_ONE)
+        state = RunningMeans.from_prototypes(protos, MeanState.MEAN_AS_ONE)
         state.update(unit2(0, 1), 0)
         np.testing.assert_allclose(state.prototype(0),
                                    [math.sqrt(0.5), math.sqrt(0.5)],
                                    atol=1e-6)
 
     def test_novel_class_starts_at_sample(self):
-        state = MeanState(2)
+        state = RunningMeans(2)
         v = unit2(0.6, 0.8)
         state.update(v, 5)
         assert state.count(5) == 1
@@ -322,7 +406,7 @@ class TestMeanState:
     def test_full_history_seeding_uses_training_counts(self):
         protos = PrototypeSet(2, class_ids=[0], vectors=[unit2(1, 0)],
                               counts={0: 800})
-        state = MeanState.from_prototypes(protos, MeanState.FULL_HISTORY)
+        state = RunningMeans.from_prototypes(protos, MeanState.FULL_HISTORY)
         assert state.count(0) == 800
         state.update(unit2(0, 1), 0)
         assert state.count(0) == 801
@@ -330,7 +414,7 @@ class TestMeanState:
     def test_full_history_requires_counts(self):
         protos = PrototypeSet(2, class_ids=[0], vectors=[unit2(1, 0)])
         with pytest.raises(SpcError):
-            MeanState.from_prototypes(protos, MeanState.FULL_HISTORY)
+            RunningMeans.from_prototypes(protos, MeanState.FULL_HISTORY)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -343,8 +427,8 @@ class TestMeanState:
         sample = normalize(rng.standard_normal(dim))
         protos = PrototypeSet(dim, class_ids=[0], vectors=[old],
                               counts={0: 800})
-        heavy = MeanState.from_prototypes(protos, MeanState.FULL_HISTORY)
-        light = MeanState.from_prototypes(protos, MeanState.MEAN_AS_ONE)
+        heavy = RunningMeans.from_prototypes(protos, MeanState.FULL_HISTORY)
+        light = RunningMeans.from_prototypes(protos, MeanState.MEAN_AS_ONE)
         heavy.update(sample, 0)
         light.update(sample, 0)
         old64 = old.astype(np.float64)

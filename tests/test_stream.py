@@ -306,6 +306,22 @@ class TestSweeps:
             with pytest.raises(SpcError, match="empty parameter grid"):
                 sweep(streams, protos, [])
 
+    @pytest.mark.parametrize("other", [
+        Strategy(kind="ncm-fixed"), Strategy(kind="1nn"),
+        Strategy(kind="spc", learn=False),
+        Strategy(kind="spc", mean_mode="mean-as-one")],
+        ids=["kind", "1nn", "learn", "mean_mode"])
+    def test_replayed_strategies_differ_only_in_weights(self, synth, other):
+        streams, protos = synth
+        with pytest.raises(SpcError,
+                           match="strategies may differ only in w or w_s"):
+            stream_module._sweep(streams, protos, [Strategy("spc"), other],
+                                 (1,), top1=True)
+        swept = stream_module._sweep(
+            streams, protos, [Strategy("spc-sum", w=0.5, w_s=0.2),
+                              Strategy("spc-sum", w=0.9, w_s=0.7)], (1,))
+        assert len(swept) == 2
+
     def test_sweep_ws_allows_zero(self, synth):
         streams, protos = synth
         results = sweep_ws(streams, protos, [0.0, 1.0], bucket_width=20)
@@ -394,10 +410,11 @@ def replay_cases(draw):
     """A stream, a prototype set and a strategy, drawn to hit ties,
     negative similarities, empty sides and the cold start.
 
-    General vectors are drawn at dim <= 8. At larger dims the per-call
-    matrix-vector product can round the dots of identical stored vectors
-    differently by their row, so that path does not yet break ties among
-    them by the tie rule.
+    General vectors are drawn at dim <= 8. Small dims do not keep the
+    per-call matrix-vector product from rounding the dots of identical
+    stored vectors differently by their row (seen at dims 4, 7 and 8), so
+    that path does not yet break ties among them by the tie rule; the
+    exact pool's vectors are immune.
     """
     if draw(st.booleans()):
         pool = EXACT_POOL
@@ -534,9 +551,10 @@ def mean_cases(draw):
     baseline, drawn to hit classes new to the stream, classes seen many
     times and negative similarities.
 
-    Vectors are drawn at dim <= 7. From dim 8 the reference's per-call
-    matrix-vector product rounds the scores of identical means differently
-    by their row, so it does not break ties among them by the tie rule.
+    Vectors are drawn at dim <= 7. Small dims do not keep the reference's
+    per-call matrix-vector product from rounding the scores of identical
+    means differently by their row (it shows at dim 7), so it does not yet
+    break ties among them by the tie rule.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dim = draw(st.integers(2, 7))
@@ -571,7 +589,8 @@ NEGATIVE = (
 
 class TestMeanReplayMatchesReference:
     """The whole-stream replay of ncm-fixed and ncm-incr against the
-    per-step loop over ncm_rank, MeanState.rank and MeanState.update."""
+    per-step loop over ncm_rank, RunningMeans.rank and
+    RunningMeans.update."""
 
     @example((*NEGATIVE, Strategy(kind="ncm-fixed"), 256))
     @example((*NEGATIVE, Strategy(kind="ncm-incr"), 1))
