@@ -7,7 +7,7 @@ from .data_io import (FileFormatError, ReportTable, read_prototypes,
                       read_records, render_report, write_manifest,
                       write_prototypes, write_records, write_report)
 from .engine import (DotCounter, MeanState, Ranking, SpcConfig, SumConfig,
-                     register, spc_rank, spc_sum_rank)
+                     register, spc_rank)
 from .prototypes import (SubsetSpec, TrainIndex, build_prototypes, coverage,
                          select_classes)
 from .stream import (BucketReport, CvResult, Outcome, Strategy, UserResult,
@@ -26,6 +26,6 @@ __all__ = [
     "cross_validate_w", "evaluate", "generate_synthetic", "group_by_user",
     "normalize", "read_prototypes", "read_records", "register",
     "render_report", "run_streams", "run_user_stream", "select_classes",
-    "spc_rank", "spc_sum_rank", "sweep_table", "sweep_w", "sweep_ws",
+    "spc_rank", "sweep_table", "sweep_w", "sweep_ws",
     "write_manifest", "write_prototypes", "write_records", "write_report",
 ]

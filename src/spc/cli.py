@@ -35,6 +35,15 @@ STRATEGIES = {
                               mean_mode=MeanState.FULL_HISTORY),
     "ncm-incr:one": Strategy(kind="ncm-incr", mean_mode=MeanState.MEAN_AS_ONE),
 }
+# spc synth flag -> the SynthConfig field it sets, in --help order
+SYNTH_FLAGS = {
+    "users": "users", "records": "records_per_user", "dim": "dim",
+    "classes": "num_common_classes", "novel-per-user": "novel_classes_per_user",
+    "novel-mass": "novel_mass", "zipf": "zipf_exponent",
+    "sigma-user": "sigma_user", "sigma-sample": "sigma_sample",
+    "confusable-groups": "confusable_group_count",
+    "group-tightness": "group_tightness", "seed": "seed",
+}
 # --format value -> file extension
 FORMATS = {"tsv": "tsv", "markdown": "md"}
 BENCH_W_GRID = "0.70:0.05:1.00"
@@ -96,14 +105,8 @@ def parse_strategy(name: str, w: float | None, ws: float | None,
 
 
 def cmd_synth(args) -> int:
-    cfg = SynthConfig(
-        dim=args.dim, num_common_classes=args.classes, users=args.users,
-        records_per_user=args.records, zipf_exponent=args.zipf,
-        novel_classes_per_user=args.novel_per_user,
-        novel_mass=args.novel_mass, sigma_user=args.sigma_user,
-        sigma_sample=args.sigma_sample,
-        confusable_group_count=args.confusable_groups,
-        group_tightness=args.group_tightness, seed=args.seed)
+    cfg = SynthConfig(**{name: getattr(args, flag.replace("-", "_"))
+                         for flag, name in SYNTH_FLAGS.items()})
     try:
         cfg.validate()
     except SpcError as e:
@@ -228,18 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic benchmark")
-    p.add_argument("--users", type=int, default=200)
-    p.add_argument("--records", type=int, default=300)
-    p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--classes", type=int, default=213)
-    p.add_argument("--novel-per-user", type=int, default=20)
-    p.add_argument("--novel-mass", type=float, default=0.3)
-    p.add_argument("--zipf", type=float, default=1.1)
-    p.add_argument("--sigma-user", type=float, default=0.25)
-    p.add_argument("--sigma-sample", type=float, default=0.5)
-    p.add_argument("--confusable-groups", type=int, default=40)
-    p.add_argument("--group-tightness", type=float, default=0.08)
-    p.add_argument("--seed", type=int, default=42)
+    defaults = {f.name: f.default for f in dataclasses.fields(SynthConfig)}
+    for flag, name in SYNTH_FLAGS.items():
+        p.add_argument(f"--{flag}", type=type(defaults[name]),
+                       default=defaults[name])
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -291,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run the full experiment on a synthetic "
                        "benchmark: every strategy, the w sweep and cv")
-    p.add_argument("--users", type=int, default=200)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--users", type=int, default=defaults["users"])
+    p.add_argument("--seed", type=int, default=defaults["seed"])
     p.add_argument("--format", choices=FORMATS, default="tsv")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_bench)

@@ -53,9 +53,6 @@ class LabelRegistry:
     def resolve(self, class_id: int) -> str:
         return self._label_of[class_id]
 
-    def __len__(self) -> int:
-        return len(self._label_of)
-
 
 def normalize(raw) -> np.ndarray:
     """Scale a vector to unit L2 norm; returns a float32 array.

@@ -81,11 +81,6 @@ class Ranking:
     def __len__(self) -> int:
         return len(self.class_ids)
 
-    def top1(self) -> int:
-        if len(self.class_ids) == 0:
-            raise SpcError("empty ranking")
-        return int(self.class_ids[0])
-
     def pairs(self) -> list[tuple[int, float]]:
         return [(int(c), float(s)) for c, s in zip(self.class_ids, self.scores)]
 
@@ -142,9 +137,6 @@ def spc_rank(query, store: UserStore | None, protos: PrototypeSet | None,
     score = score[layout.tie_order]
     order = score.argsort(kind="stable")[::-1]
     return Ranking(class_ids=layout.tie_ids[order], scores=score[order])
-
-
-spc_sum_rank = spc_rank
 
 
 def register(store: UserStore, vec, class_id: int) -> UserStore:

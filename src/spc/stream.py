@@ -5,9 +5,9 @@ per-record results into bucketed report tables.
 A user's results are one columnar UserResult: per record, the 0-based rank
 position of the true class (a hit at k is rank < k), the predicted class
 and the upper-limit flags. Reports, sweeps and cross-validation read these
-arrays directly; Outcome objects are built only when a caller indexes or
-iterates a result. The in-union flag is the harness's own bookkeeping, so
-it holds even for strategies that do not learn.
+arrays directly; Outcome objects are built only when a caller iterates a
+result. The in-union flag is the harness's own bookkeeping, so it holds
+even for strategies that do not learn.
 
 Every strategy is replayed by one function, _replay, per user rather
 than step by step: since the store at step t holds exactly records
@@ -74,7 +74,7 @@ class Strategy:
 @dataclass(frozen=True, slots=True)
 class Outcome:
     """One record's evaluation result: a view of one row of a UserResult,
-    built on demand when the result is indexed or iterated."""
+    built on demand when the result is iterated."""
 
     user: str
     t: int
@@ -98,9 +98,7 @@ class UserResult:
     class id, -1 where nothing was ranked; a sweep skips the top-1, so its
     results hold None there, and so do their Outcome views.
 
-    Indexing and iteration give Outcome views, built on demand; a slice
-    is a UserResult. == compares what lists of the Outcome views would
-    (rank only through the hits at k_list), and with such a list too.
+    Only iteration gives Outcome views, built on demand.
     """
 
     user: str
@@ -126,25 +124,6 @@ class UserResult:
                           hits={k: pos < k for k in self.k_list},
                           in_initial=ini, in_union=uni,
                           predicted=None if top < 0 else top)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return replace(self, **{
-                name: col[i] for name in self.COLUMNS
-                if (col := getattr(self, name)) is not None})
-        return list(self[i:i + 1 or None])[0]
-
-    def __eq__(self, other):
-        if isinstance(other, list):
-            return list(self) == other
-        if not isinstance(other, UserResult):
-            return NotImplemented
-        return (self.user == other.user and self.k_list == other.k_list
-                and all(np.array_equal(getattr(self, name),
-                                       getattr(other, name))
-                        for name in self.COLUMNS if name != "rank")
-                and all(np.array_equal(self.rank < k, other.rank < k)
-                        for k in self.k_list))
 
 
 # A replay builds its class-by-step arrays this many steps (columns) at a

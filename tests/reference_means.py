@@ -107,7 +107,7 @@ def reference_mean_replay(records, protos, strategy, counter=None):
                    else means.rank(rec.vec, counter))
         pos = np.flatnonzero(ranking.class_ids == rec.class_id)
         positions.append(int(pos[0]) if len(pos) else MISS)
-        predicted.append(ranking.top1())
+        predicted.append(int(ranking.class_ids[0]))
         if means is not None and strategy.learn:
             means.update(rec.vec, rec.class_id)
     return positions, predicted

@@ -12,6 +12,11 @@ import numpy as np
 from spc import BucketReport, SpcError
 
 
+def views(results):
+    """Each user's Outcome views as a list, so dicts of results compare."""
+    return {user: list(result) for user, result in results.items()}
+
+
 def mean_accuracy(results, t, k):
     """Fraction of users whose record at index t was a top-k hit.
 

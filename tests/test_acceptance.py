@@ -12,9 +12,10 @@ from spc import (DotCounter, LabeledRecord, PrototypeSet, SpcConfig, Strategy,
                  SubsetSpec, SumConfig, SynthConfig, TrainIndex,
                  build_prototypes, cli, evaluate, generate_synthetic,
                  group_by_user, normalize, run_streams, run_user_stream,
-                 select_classes, spc_rank, spc_sum_rank, sweep_w, sweep_ws)
+                 select_classes, spc_rank, sweep_w, sweep_ws)
 
 from .oracle import brute_force_rank
+from .reference_report import views
 
 W_GRID = [round(0.70 + 0.05 * i, 2) for i in range(7)]     # 0.70 .. 1.00
 WS_GRID = [round(0.1 * i, 1) for i in range(11)]           # 0.0 .. 1.0
@@ -98,8 +99,7 @@ def test_criterion_1_oracle_equivalence():
                 want = brute_force_rank(query, user_pairs, proto_pairs, w=w)
             else:
                 ws = float(rng.uniform(0.0, 1.0))
-                got = spc_sum_rank(query, store, protos,
-                                   SumConfig(ws)).pairs()
+                got = spc_rank(query, store, protos, SumConfig(ws)).pairs()
                 want = brute_force_rank(query, user_pairs, proto_pairs,
                                         w_s=ws)
             assert [c for c, _ in got] == [c for c, _ in want], \
@@ -125,8 +125,8 @@ def test_criterion_2_reduction_identities(bench):
              (protos, Strategy(kind="ncm-fixed"))),
         ]
         for (pa, sa), (pb, sb) in pairs:
-            assert run_streams(sub, pa, sa) == run_streams(sub, pb, sb), \
-                f"{sa.label()} != {sb.label()}"
+            assert views(run_streams(sub, pa, sa)) == views(
+                run_streams(sub, pb, sb)), f"{sa.label()} != {sb.label()}"
         # the all-prototype linear combination ranks exactly like the
         # prototype-only classifier
         out_a = run_streams(sub, protos, Strategy(kind="spc-sum", w_s=1.0))

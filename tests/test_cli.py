@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -76,6 +77,36 @@ class TestSynthCommand:
             assert run(SYNTH_ARGS + ["--out-dir", str(out)], capsys)[0] == 0
         for name in ("train.records", "stream.records", "manifest.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.parametrize("flags, fields", [
+        (["--users", "2", "--records", "5"],
+         dict(users=2, records_per_user=5)),
+        (["--users", "2", "--records", "5", "--dim", "8", "--classes", "6",
+          "--novel-per-user", "1", "--novel-mass", "0.2", "--zipf", "0.9",
+          "--sigma-user", "0.3", "--sigma-sample", "0.4",
+          "--confusable-groups", "1", "--group-tightness", "0.1",
+          "--seed", "7"],
+         dict(users=2, records_per_user=5, dim=8, num_common_classes=6,
+              novel_classes_per_user=1, novel_mass=0.2, zipf_exponent=0.9,
+              sigma_user=0.3, sigma_sample=0.4, confusable_group_count=1,
+              group_tightness=0.1, seed=7)),
+    ], ids=["defaults", "every-flag"])
+    def test_flags_set_synth_config_fields(self, tmp_path, capsys, flags,
+                                           fields):
+        out = tmp_path / "b"
+        assert run(["synth", *flags, "--out-dir", str(out)], capsys)[0] == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"] == asdict(replace(SynthConfig(), **fields))
+
+    def test_flags_keep_their_order(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["synth", "--help"])
+        options = capsys.readouterr().out.split("options:\n")[1]
+        assert [line.split()[0] for line in options.splitlines()] == [
+            "-h,", "--users", "--records", "--dim", "--classes",
+            "--novel-per-user", "--novel-mass", "--zipf", "--sigma-user",
+            "--sigma-sample", "--confusable-groups", "--group-tightness",
+            "--seed", "--out-dir"]
 
 
 class TestBuildPrototypesCommand:
@@ -262,6 +293,11 @@ def bench_tables():
 
 
 class TestBenchCommand:
+    def test_defaults_come_from_synth_config(self):
+        args = cli.build_parser().parse_args(["bench", "--out-dir", "x"])
+        assert (args.users, args.seed) == (SynthConfig().users,
+                                           SynthConfig().seed)
+
     @pytest.mark.parametrize("fmt,ext", [("tsv", "tsv"), ("markdown", "md")],
                              ids=["tsv", "markdown"])
     def test_reports_match_the_library(self, tmp_path, capsys, bench_tables,

@@ -4,10 +4,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import spc
 from spc import (DimensionMismatchError, LabeledRecord, LabelRegistry,
                  NormalizationError, PrototypeSet, SpcError, UserStore,
                  normalize)
 from spc.core import check_unit
+
+
+def test_every_export_resolves():
+    assert [name for name in spc.__all__ if not hasattr(spc, name)] == []
 
 
 class TestLabelRegistry:

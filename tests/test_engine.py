@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from spc import (DimensionMismatchError, DotCounter, MeanState, PrototypeSet,
                  SpcConfig, SpcError, SumConfig, UserStore, normalize,
-                 register, spc_rank, spc_sum_rank)
+                 register, spc_rank)
 from spc.core import check_unit
 
 from .oracle import brute_force_rank
@@ -49,8 +49,9 @@ def q():
     return unit2(1, 0)
 
 
-RANKERS = [(spc_rank, SpcConfig(0.85)), (spc_sum_rank, SumConfig(0.5))]
-RANKER_IDS = ["spc_rank", "spc_sum_rank"]
+# spc_rank under each rule; the ids name the weighted max and the linear sum
+CONFIGS = [SpcConfig(0.85), SumConfig(0.5)]
+CONFIG_IDS = ["spc_rank", "spc_sum_rank"]
 
 
 class TestConfigs:
@@ -78,7 +79,6 @@ class TestConfigs:
                                       su)
         np.testing.assert_array_equal(SumConfig(0.25).combine(su, sm, True),
                                       0.75 * su + 0.25 * sm)
-        assert spc_sum_rank is spc_rank
 
 
 class TestClassSimilarity:
@@ -124,14 +124,14 @@ class TestSpcRank:
         # user dot 0.9 beats 0.99 * 0.85 = 0.8415
         store, protos = self.make(q, 0.9, 0.99)
         r = spc_rank(q, store, protos, SpcConfig(0.85))
-        assert r.top1() == self.A
+        assert r.class_ids[0] == self.A
         assert r.scores[0] == pytest.approx(0.9, abs=1e-6)
         assert r.scores[1] == pytest.approx(0.99 * 0.85, abs=1e-6)
 
     def test_w_one_is_plain_nearest_neighbor(self, q):
         store, protos = self.make(q, 0.9, 0.99)
         r = spc_rank(q, store, protos, SpcConfig(1.0))
-        assert r.top1() == self.B
+        assert r.class_ids[0] == self.B
 
     def test_empty_user_store_matches_ncm_order(self):
         # non-negative vectors: every prototype dot is >= 0, so scaling by w
@@ -148,23 +148,23 @@ class TestSpcRank:
             r = spc_rank(query, UserStore(8), protos, SpcConfig(w))
             np.testing.assert_array_equal(r.class_ids, ncm_order)
 
-    @pytest.mark.parametrize("rank,cfg", RANKERS, ids=RANKER_IDS)
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
     @pytest.mark.parametrize("store,protos", [
         (None, None), (UserStore(2), None), (None, PrototypeSet(2)),
         (UserStore(2), PrototypeSet(2))],
         ids=["none", "empty-store", "empty-prototypes", "both-empty"])
-    def test_empty_everything_is_an_error(self, q, rank, cfg, store, protos):
+    def test_empty_everything_is_an_error(self, q, cfg, store, protos):
         with pytest.raises(SpcError, match="nothing to predict"):
-            rank(q, store, protos, cfg)
+            spc_rank(q, store, protos, cfg)
 
-    @pytest.mark.parametrize("rank,cfg", RANKERS, ids=RANKER_IDS)
-    def test_store_prototype_dim_mismatch(self, q, rank, cfg):
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
+    def test_store_prototype_dim_mismatch(self, q, cfg):
         store = UserStore(2)
         store.append(q, 0)
         protos = PrototypeSet(3, class_ids=[1],
                               vectors=[normalize([1.0, 0.0, 0.0])])
         with pytest.raises(DimensionMismatchError):
-            rank(q, store, protos, cfg)
+            spc_rank(q, store, protos, cfg)
 
     def test_scores_non_increasing(self):
         rng = np.random.default_rng(5)
@@ -284,7 +284,7 @@ class TestSpcSumRank:
             vectors=np.stack([normalize(rng.standard_normal(4))
                               for _ in range(2)]))
         query = normalize(rng.standard_normal(4))
-        r = spc_sum_rank(query, store, protos, SumConfig(0.0))
+        r = spc_rank(query, store, protos, SumConfig(0.0))
         user_scores = {c: class_similarity(c, query, store)
                        for c in store.classes.tolist()}
         for c, s in r.pairs():
@@ -297,7 +297,7 @@ class TestSpcSumRank:
         store = UserStore(2)
         store.append(unit2(0, 1), 9)
         protos = PrototypeSet(2, class_ids=[1], vectors=[unit2(0.6, 0.8)])
-        r = spc_sum_rank(q, store, protos, SumConfig(1.0))
+        r = spc_rank(q, store, protos, SumConfig(1.0))
         scores = dict(r.pairs())
         assert scores[1] == pytest.approx(0.6, abs=1e-6)
         assert scores[9] == 0.0
@@ -307,11 +307,11 @@ class TestSpcSumRank:
         store.append(embed_with_dot(q, 0.9), 0)
         protos = PrototypeSet(2, class_ids=[1],
                               vectors=[embed_with_dot(q, 0.99)])
-        r = spc_sum_rank(q, store, protos, SumConfig(0.5))
+        r = spc_rank(q, store, protos, SumConfig(0.5))
         scores = dict(r.pairs())
         assert scores[0] == pytest.approx(0.45, abs=1e-6)
         assert scores[1] == pytest.approx(0.495, abs=1e-6)
-        assert r.top1() == 1
+        assert r.class_ids[0] == 1
 
 
 class TestNcmRank:
@@ -320,7 +320,7 @@ class TestNcmRank:
         protos = PrototypeSet(2, class_ids=[3, 4],
                               vectors=np.stack([v, unit2(0, 1)]))
         r = ncm_rank(v, protos)
-        assert r.top1() == 3
+        assert r.class_ids[0] == 3
         assert r.scores[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_hand_computed_order(self):
@@ -377,7 +377,7 @@ class TestRegister:
         e = normalize(rng.standard_normal(8))
         register(store, e, 99)
         for w in (0.3, 0.85, 1.0):
-            assert spc_rank(e, store, protos, SpcConfig(w)).top1() == 99
+            assert spc_rank(e, store, protos, SpcConfig(w)).class_ids[0] == 99
 
 
 class TestMeanState:
@@ -539,7 +539,7 @@ class TestOracleAgreement:
                               vectors=np.stack(proto_vecs))
         query = normalize(rng.standard_normal(dim))
         ws = float(rng.uniform(0.0, 1.0))
-        got = spc_sum_rank(query, store, protos, SumConfig(ws)).pairs()
+        got = spc_rank(query, store, protos, SumConfig(ws)).pairs()
         want = brute_force_rank(query, user_pairs,
                                 list(zip(proto_ids.tolist(), proto_vecs)),
                                 w_s=ws)
