@@ -6,8 +6,8 @@ from .core import (DimensionMismatchError, LabeledRecord, LabelRegistry,
 from .data_io import (FileFormatError, ReportTable, read_prototypes,
                       read_records, render_report, write_manifest,
                       write_prototypes, write_records, write_report)
-from .engine import (DotCounter, MeanState, Ranking, SpcConfig, SumConfig,
-                     register, spc_rank)
+from .engine import (DotCounter, Ranking, SpcConfig, SumConfig, register,
+                     spc_rank)
 from .prototypes import (SubsetSpec, TrainIndex, build_prototypes, coverage,
                          select_classes)
 from .stream import (BucketReport, CvResult, Outcome, Strategy, UserResult,
@@ -18,7 +18,7 @@ from .synth import SynthConfig, generate_synthetic
 
 __all__ = [
     "BucketReport", "CvResult", "DimensionMismatchError", "DotCounter",
-    "FileFormatError", "LabelRegistry", "LabeledRecord", "MeanState",
+    "FileFormatError", "LabelRegistry", "LabeledRecord",
     "NormalizationError", "Outcome", "PrototypeSet", "Ranking",
     "ReportTable", "SpcConfig", "SpcError", "Strategy", "SubsetSpec",
     "SumConfig", "SynthConfig", "TrainIndex", "UserResult", "UserStore",

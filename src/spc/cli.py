@@ -17,7 +17,6 @@ from .core import SpcError
 from .data_io import (FileFormatError, read_prototypes, read_records,
                       write_manifest, write_prototypes, write_records,
                       write_report)
-from .engine import MeanState
 from .prototypes import SubsetSpec, TrainIndex, build_prototypes, coverage, \
     select_classes
 from .stream import (Strategy, cross_validate_w, evaluate, group_by_user,
@@ -31,9 +30,8 @@ STRATEGIES = {
     "1nn": Strategy(kind="1nn"),
     "1nn-star": Strategy(kind="1nn-star"),
     "ncm-fixed": Strategy(kind="ncm-fixed"),
-    "ncm-incr:full": Strategy(kind="ncm-incr",
-                              mean_mode=MeanState.FULL_HISTORY),
-    "ncm-incr:one": Strategy(kind="ncm-incr", mean_mode=MeanState.MEAN_AS_ONE),
+    "ncm-incr:full": Strategy(kind="ncm-incr", mean_mode="full-history"),
+    "ncm-incr:one": Strategy(kind="ncm-incr", mean_mode="mean-as-one"),
 }
 # spc synth flag -> the SynthConfig field it sets, in --help order
 SYNTH_FLAGS = {

@@ -125,8 +125,8 @@ def read_records(path, registry: LabelRegistry | None = None):
             if not isinstance(user, str):
                 raise FileFormatError(
                     f"{path}:{lineno}: user must be a string, got {user!r}")
-            # bool is a subclass of int, and 1.0 would pass for 1
-            if type(t) is not int or t < 1:
+            # bool is an int subclass, 1.0 would pass for 1; t goes to int64
+            if type(t) is not int or not 1 <= t < 2**63:
                 raise FileFormatError(
                     f"{path}:{lineno}: t must be an integer >= 1, got {t!r}")
             _check_label(label, path, lineno)
@@ -173,7 +173,8 @@ def read_prototypes(path, registry: LabelRegistry | None = None):
                 raise FileFormatError(f"{path}:{lineno}: malformed line: {e}") \
                     from None
             _check_label(label, path, lineno)
-            if count is not None and (type(count) is not int or count < 1):
+            if count is not None and (type(count) is not int
+                                      or not 1 <= count < 2**63):
                 raise FileFormatError(f"{path}:{lineno}: count must be null "
                                       f"or an integer >= 1, got {count!r}")
             if label in seen:

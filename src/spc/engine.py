@@ -1,6 +1,5 @@
 """Classification kernel: class similarity, weighted-max and linear-sum
-ranking over a user store plus common prototypes, and the seeding of the
-mean-update baselines.
+ranking over a user store plus common prototypes.
 
 Scoring rules
 -------------
@@ -24,7 +23,6 @@ values; no epsilon is applied in ordering.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,12 +75,6 @@ class Ranking:
 
     class_ids: np.ndarray
     scores: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.class_ids)
-
-    def pairs(self) -> list[tuple[int, float]]:
-        return [(int(c), float(s)) for c, s in zip(self.class_ids, self.scores)]
 
 
 @dataclass
@@ -144,51 +136,3 @@ def register(store: UserStore, vec, class_id: int) -> UserStore:
     store.append(vec, class_id)
     return store
 
-
-def unit_means(acc: np.ndarray, count, class_ids) -> np.ndarray:
-    """Rows acc / count, each scaled to unit length: the running means of
-    the incremental-mean baselines. Each row's norm is its own dot
-    product, so a row comes out the same whether it is computed alone or
-    in a batch."""
-    means = acc / np.reshape(count, (-1, 1))
-    norms = np.array([math.sqrt(m.dot(m)) for m in means])
-    zero = np.flatnonzero(norms == 0.0)
-    if len(zero):
-        raise SpcError(
-            f"mean of class {class_ids[zero[0]]} cancelled to zero")
-    return means / norms[:, None]
-
-
-class MeanState:
-    """Seeding of the per-class running means of the incremental-mean
-    baselines, which the stream replay builds from these seeds.
-
-    Seeding modes:
-      full-history : each initial class starts at its true training count
-                     (the prototype stands for that many samples);
-      mean-as-one  : each initial class starts at count 1 (the prototype
-                     counts as a single sample).
-    """
-
-    FULL_HISTORY = "full-history"
-    MEAN_AS_ONE = "mean-as-one"
-
-    @classmethod
-    def seed(cls, protos: PrototypeSet,
-             mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The prototype classes in id order, with the raw accumulators and
-        the counts that seed their running means."""
-        order = np.argsort(protos.class_ids)
-        ids = protos.class_ids[order]
-        if mode == cls.FULL_HISTORY:
-            if protos.counts is None or any(
-                    c not in protos.counts for c in ids.tolist()):
-                raise SpcError(
-                    "full-history seeding needs per-class training counts")
-            count = np.array([protos.counts[c] for c in ids.tolist()],
-                             dtype=np.int64)
-        elif mode == cls.MEAN_AS_ONE:
-            count = np.ones(len(ids), dtype=np.int64)
-        else:
-            raise SpcError(f"unknown mean seeding mode {mode!r}")
-        return ids, protos.matrix64[order] * count[:, None], count

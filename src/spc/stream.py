@@ -22,6 +22,7 @@ sweeps and cross-validation share one loop over users, _sweep.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -30,9 +31,12 @@ import numpy as np
 from .core import (DimensionMismatchError, LabeledRecord, PrototypeSet,
                    SpcError, stack_records)
 from .data_io import ReportTable
-from .engine import DotCounter, MeanState, SpcConfig, SumConfig, unit_means
+from .engine import DotCounter, SpcConfig, SumConfig
 
 STRATEGY_KINDS = ("spc", "spc-sum", "ncm-fixed", "ncm-incr", "1nn", "1nn-star")
+# ncm-incr's mean_mode: seed each initial class's running mean at its
+# training count, or at count 1 (see Strategy)
+MEAN_MODES = ("full-history", "mean-as-one")
 
 
 @dataclass(frozen=True)
@@ -42,20 +46,24 @@ class Strategy:
     1nn is spc with w = 1 on the same code path; 1nn-star is spc with the
     prototype set dropped. `learn` disables user-store registration
     (diagnostic switch; the protocol default is to learn every record).
+
+    ncm-incr's mean_mode seeds each initial class's running mean:
+      full-history : at its true training count (the prototype stands for
+                     that many samples);
+      mean-as-one  : at count 1 (the prototype counts as a single sample).
     """
 
     kind: str = "spc"
     w: float = 0.85
     w_s: float = 0.5
-    mean_mode: str = MeanState.FULL_HISTORY
+    mean_mode: str = "full-history"
     learn: bool = True
 
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise SpcError(f"unknown strategy kind {self.kind!r}")
         self.config  # the setting checks w or w_s
-        if self.kind == "ncm-incr" and self.mean_mode not in (
-                MeanState.FULL_HISTORY, MeanState.MEAN_AS_ONE):
+        if self.kind == "ncm-incr" and self.mean_mode not in MEAN_MODES:
             raise SpcError(f"unknown mean mode {self.mean_mode!r}")
 
     @property
@@ -164,13 +172,41 @@ def _columns(records, protos) -> dict:
                 in_union=in_initial | (first[inverse] < np.arange(T)))
 
 
+def unit_means(acc: np.ndarray, count, class_ids) -> np.ndarray:
+    """Rows acc / count, each scaled to unit length: the running means of
+    the incremental-mean baselines. Each row's norm is its own dot
+    product, so a row comes out the same whether it is computed alone or
+    in a batch."""
+    means = acc / np.reshape(count, (-1, 1))
+    norms = np.array([math.sqrt(m.dot(m)) for m in means])
+    zero = np.flatnonzero(norms == 0.0)
+    if len(zero):
+        raise SpcError(
+            f"mean of class {class_ids[zero[0]]} cancelled to zero")
+    return means / norms[:, None]
+
+
 def _mean_versions(queries, ids, rows, protos, mode):
     """ncm-incr's matrix of mean versions: the |P| seeded means, then each
-    record's class mean after absorbing it, in t order, by MeanState's
-    rule (a new class starts from the record, a known class adds the
-    record to its float64 sum). Also the version each class exposes at
-    step 1, -1 for none; record j's version P + j is exposed from j + 1."""
-    seed_ids, seed_acc, seed_count = MeanState.seed(protos, mode)
+    record's class mean after absorbing it, in t order (a new class starts
+    from the record, a known class adds the record to its float64 sum).
+    Also the version each class exposes at step 1, -1 for none; record j's
+    version P + j is exposed from j + 1.
+
+    The seeds are the prototype classes in id order, each at the count
+    its mean_mode gives it (Strategy has checked the mode)."""
+    order = np.argsort(protos.class_ids)
+    seed_ids = protos.class_ids[order]
+    if mode == "full-history":
+        if protos.counts is None or any(
+                c not in protos.counts for c in seed_ids.tolist()):
+            raise SpcError(
+                "full-history seeding needs per-class training counts")
+        seed_count = np.array([protos.counts[c] for c in seed_ids.tolist()],
+                              dtype=np.int64)
+    else:
+        seed_count = np.ones(len(seed_ids), dtype=np.int64)
+    seed_acc = protos.matrix64[order] * seed_count[:, None]
     seed_rows = np.searchsorted(ids, seed_ids)
     P = len(seed_rows)
     latest = np.full(len(ids), -1, dtype=np.intp)

@@ -46,3 +46,9 @@ def brute_force_rank(query, user_pairs, proto_pairs, w=None, w_s=None):
         scored.append((c, score))
     scored.sort(key=lambda cs: (-cs[1], cs[0] not in user_classes, cs[0]))
     return scored
+
+
+def ranked_pairs(ranking):
+    """An engine Ranking in the oracle's form: (class, score), best first."""
+    return [(int(c), float(s))
+            for c, s in zip(ranking.class_ids, ranking.scores)]

@@ -3,18 +3,18 @@
 The whole-stream evaluator replays ncm-fixed and ncm-incr from a matrix of
 mean versions; this loop ranks each record through a per-call classifier
 (`ncm_rank`, `RunningMeans.rank`) and then updates the means, and the two
-must agree record by record.
+must agree record by record. RunningMeans seeds its means itself, one
+class at a time, and shares only `unit_means` with the evaluator.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from spc import (DotCounter, MeanState, PrototypeSet, Ranking, SpcError,
-                 SumConfig, spc_rank)
+from spc import (DotCounter, PrototypeSet, Ranking, SpcError, SumConfig,
+                 spc_rank)
 from spc.core import check_unit
-from spc.engine import unit_means
-from spc.stream import MISS
+from spc.stream import MISS, unit_means
 
 
 def ncm_rank(query, protos: PrototypeSet,
@@ -26,7 +26,7 @@ def ncm_rank(query, protos: PrototypeSet,
     return spc_rank(query, None, protos, SumConfig(1.0), counter)
 
 
-class RunningMeans(MeanState):
+class RunningMeans:
     """Per-class running means, updated and ranked one record at a time.
 
     The accumulator stays raw in float64; the exposed prototype is
@@ -47,12 +47,25 @@ class RunningMeans(MeanState):
     @classmethod
     def from_prototypes(cls, protos: PrototypeSet,
                         mode: str) -> "RunningMeans":
-        ids, acc, count = cls.seed(protos, mode)
+        """Means seeded from the prototypes: each class's accumulator is
+        its prototype times its count, the training count under
+        full-history and 1 under mean-as-one."""
         state = cls(protos.dim)
-        state._acc = dict(zip(ids.tolist(), acc))
-        state._count = dict(zip(ids.tolist(), count.tolist()))
-        state._ids = ids
-        state._exposed = unit_means(acc, count, ids)
+        state._ids = np.sort(protos.class_ids)
+        for c in state._ids.tolist():
+            if mode == "mean-as-one":
+                state._count[c] = 1
+            elif protos.counts is not None and c in protos.counts:
+                state._count[c] = protos.counts[c]
+            else:
+                raise SpcError(
+                    "full-history seeding needs per-class training counts")
+            state._acc[c] = (protos.matrix64[protos.row_of[c]]
+                             * state._count[c])
+        if len(state._ids):
+            state._exposed = unit_means(np.stack(list(state._acc.values())),
+                                        list(state._count.values()),
+                                        state._ids)
         return state
 
     def _row(self, class_id: int) -> int:

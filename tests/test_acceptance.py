@@ -14,7 +14,7 @@ from spc import (DotCounter, LabeledRecord, PrototypeSet, SpcConfig, Strategy,
                  group_by_user, normalize, run_streams, run_user_stream,
                  select_classes, spc_rank, sweep_w, sweep_ws)
 
-from .oracle import brute_force_rank
+from .oracle import brute_force_rank, ranked_pairs
 from .reference_report import views
 
 W_GRID = [round(0.70 + 0.05 * i, 2) for i in range(7)]     # 0.70 .. 1.00
@@ -95,11 +95,13 @@ def test_criterion_1_oracle_equivalence():
                                    proto_vecs)) if n_protos else []
             if rng.integers(0, 2):
                 w = float(rng.uniform(0.05, 1.0))
-                got = spc_rank(query, store, protos, SpcConfig(w)).pairs()
+                got = ranked_pairs(
+                    spc_rank(query, store, protos, SpcConfig(w)))
                 want = brute_force_rank(query, user_pairs, proto_pairs, w=w)
             else:
                 ws = float(rng.uniform(0.0, 1.0))
-                got = spc_rank(query, store, protos, SumConfig(ws)).pairs()
+                got = ranked_pairs(
+                    spc_rank(query, store, protos, SumConfig(ws)))
                 want = brute_force_rank(query, user_pairs, proto_pairs,
                                         w_s=ws)
             assert [c for c, _ in got] == [c for c, _ in want], \

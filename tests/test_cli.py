@@ -193,7 +193,9 @@ class TestEvalCommand:
 
     @pytest.mark.parametrize("name,field,value",
                              [("stream.records", "t", 1.7),
-                              ("common.protos", "count", 2.5)])
+                              ("common.protos", "count", 2.5),
+                              ("stream.records", "t", 2**63),
+                              ("common.protos", "count", 2**63)])
     def test_bad_field_fails_without_a_report(self, bench, capsys, name,
                                               field, value):
         path = bench / name

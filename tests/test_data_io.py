@@ -293,7 +293,8 @@ def test_vector_format_is_bit_exact_for_finite_float32(bits):
 BAD_FIELDS = [
     ("records", "t", "x"), ("records", "t", 0), ("records", "t", 1.7),
     ("records", "t", True), ("records", "label", 5), ("records", "label", ""),
-    ("records", "user", 5), ("prototypes", "count", "x"),
+    ("records", "user", 5), ("records", "t", 2**63),
+    ("prototypes", "count", "x"), ("prototypes", "count", 2**63),
     ("prototypes", "count", 0), ("prototypes", "count", -3),
     ("prototypes", "count", 2.5), ("prototypes", "count", True),
     ("prototypes", "label", 5), ("prototypes", "label", ["c"]),

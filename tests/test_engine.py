@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spc import (DimensionMismatchError, DotCounter, MeanState, PrototypeSet,
-                 SpcConfig, SpcError, SumConfig, UserStore, normalize,
-                 register, spc_rank)
+from spc import (DimensionMismatchError, DotCounter, PrototypeSet, SpcConfig,
+                 SpcError, SumConfig, UserStore, normalize, register,
+                 spc_rank)
 from spc.core import check_unit
 
-from .oracle import brute_force_rank
+from .oracle import brute_force_rank, ranked_pairs
 from .reference_means import RunningMeans, ncm_rank
 from .reference_rank import id_indexed_rank
 
@@ -179,7 +179,7 @@ class TestSpcRank:
         r = spc_rank(normalize(rng.standard_normal(4)), store, protos,
                      SpcConfig(0.85))
         assert all(a >= b for a, b in zip(r.scores, r.scores[1:]))
-        assert len(set(r.class_ids.tolist())) == len(r)
+        assert len(set(r.class_ids.tolist())) == len(r.class_ids)
 
     def test_tie_rule_prefers_user_class_then_smaller_id(self, q):
         # orthogonal queries: user classes 5 and 2 score 0, proto class 1 scores 0
@@ -287,7 +287,7 @@ class TestSpcSumRank:
         r = spc_rank(query, store, protos, SumConfig(0.0))
         user_scores = {c: class_similarity(c, query, store)
                        for c in store.classes.tolist()}
-        for c, s in r.pairs():
+        for c, s in ranked_pairs(r):
             if c in user_scores:
                 assert s == pytest.approx(user_scores[c], abs=1e-12)
             else:
@@ -298,7 +298,7 @@ class TestSpcSumRank:
         store.append(unit2(0, 1), 9)
         protos = PrototypeSet(2, class_ids=[1], vectors=[unit2(0.6, 0.8)])
         r = spc_rank(q, store, protos, SumConfig(1.0))
-        scores = dict(r.pairs())
+        scores = dict(ranked_pairs(r))
         assert scores[1] == pytest.approx(0.6, abs=1e-6)
         assert scores[9] == 0.0
 
@@ -308,7 +308,7 @@ class TestSpcSumRank:
         protos = PrototypeSet(2, class_ids=[1],
                               vectors=[embed_with_dot(q, 0.99)])
         r = spc_rank(q, store, protos, SumConfig(0.5))
-        scores = dict(r.pairs())
+        scores = dict(ranked_pairs(r))
         assert scores[0] == pytest.approx(0.45, abs=1e-6)
         assert scores[1] == pytest.approx(0.495, abs=1e-6)
         assert r.class_ids[0] == 1
@@ -384,13 +384,13 @@ class TestMeanState:
     def test_update_with_identical_vector_keeps_mean(self):
         m = unit2(1, 0)
         protos = PrototypeSet(2, class_ids=[0], vectors=[m])
-        state = RunningMeans.from_prototypes(protos, MeanState.MEAN_AS_ONE)
+        state = RunningMeans.from_prototypes(protos, "mean-as-one")
         state.update(m, 0)
         np.testing.assert_allclose(state.prototype(0), m, atol=1e-7)
 
     def test_mean_as_one_moves_halfway(self):
         protos = PrototypeSet(2, class_ids=[0], vectors=[unit2(1, 0)])
-        state = RunningMeans.from_prototypes(protos, MeanState.MEAN_AS_ONE)
+        state = RunningMeans.from_prototypes(protos, "mean-as-one")
         state.update(unit2(0, 1), 0)
         np.testing.assert_allclose(state.prototype(0),
                                    [math.sqrt(0.5), math.sqrt(0.5)],
@@ -406,7 +406,7 @@ class TestMeanState:
     def test_full_history_seeding_uses_training_counts(self):
         protos = PrototypeSet(2, class_ids=[0], vectors=[unit2(1, 0)],
                               counts={0: 800})
-        state = RunningMeans.from_prototypes(protos, MeanState.FULL_HISTORY)
+        state = RunningMeans.from_prototypes(protos, "full-history")
         assert state.count(0) == 800
         state.update(unit2(0, 1), 0)
         assert state.count(0) == 801
@@ -414,7 +414,7 @@ class TestMeanState:
     def test_full_history_requires_counts(self):
         protos = PrototypeSet(2, class_ids=[0], vectors=[unit2(1, 0)])
         with pytest.raises(SpcError):
-            RunningMeans.from_prototypes(protos, MeanState.FULL_HISTORY)
+            RunningMeans.from_prototypes(protos, "full-history")
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -427,8 +427,8 @@ class TestMeanState:
         sample = normalize(rng.standard_normal(dim))
         protos = PrototypeSet(dim, class_ids=[0], vectors=[old],
                               counts={0: 800})
-        heavy = RunningMeans.from_prototypes(protos, MeanState.FULL_HISTORY)
-        light = RunningMeans.from_prototypes(protos, MeanState.MEAN_AS_ONE)
+        heavy = RunningMeans.from_prototypes(protos, "full-history")
+        light = RunningMeans.from_prototypes(protos, "mean-as-one")
         heavy.update(sample, 0)
         light.update(sample, 0)
         old64 = old.astype(np.float64)
@@ -469,11 +469,13 @@ class TestLocalAdaptation:
             store.append(normalize(rng.standard_normal(dim)),
                          int(rng.integers(0, 7)))
         query = normalize(rng.standard_normal(dim))
-        before = dict(spc_rank(query, store, protos, SpcConfig(0.85)).pairs())
+        before = dict(ranked_pairs(
+            spc_rank(query, store, protos, SpcConfig(0.85))))
         seen = set(store.classes.tolist())
         new_class = int(rng.integers(0, 7))
         store.append(normalize(rng.standard_normal(dim)), new_class)
-        after = dict(spc_rank(query, store, protos, SpcConfig(0.85)).pairs())
+        after = dict(ranked_pairs(
+            spc_rank(query, store, protos, SpcConfig(0.85))))
         for c, s in before.items():
             if c != new_class:
                 assert after[c] == s
@@ -511,7 +513,7 @@ class TestOracleAgreement:
                               if n_protos else None)
         query = vec()
         w = float(rng.uniform(0.05, 1.0))
-        got = spc_rank(query, store, protos, SpcConfig(w)).pairs()
+        got = ranked_pairs(spc_rank(query, store, protos, SpcConfig(w)))
         want = brute_force_rank(query, user_pairs,
                                 list(zip(proto_ids.tolist(), proto_vecs)),
                                 w=w)
@@ -539,7 +541,7 @@ class TestOracleAgreement:
                               vectors=np.stack(proto_vecs))
         query = normalize(rng.standard_normal(dim))
         ws = float(rng.uniform(0.0, 1.0))
-        got = spc_rank(query, store, protos, SumConfig(ws)).pairs()
+        got = ranked_pairs(spc_rank(query, store, protos, SumConfig(ws)))
         want = brute_force_rank(query, user_pairs,
                                 list(zip(proto_ids.tolist(), proto_vecs)),
                                 w_s=ws)

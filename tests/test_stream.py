@@ -298,6 +298,10 @@ class TestStrategyConfig:
         # a weight the kind does not use is not checked
         assert Strategy(kind="1nn", w=0.0).config == SpcConfig(1.0)
 
+    def test_unknown_mean_mode_is_refused(self):
+        with pytest.raises(SpcError, match="unknown mean mode 'bogus'"):
+            Strategy(kind="ncm-incr", mean_mode="bogus")
+
 
 class TestSweeps:
     def test_sweep_w_rejects_zero(self, synth):
@@ -732,7 +736,7 @@ class TestColumnarResults:
 
     @pytest.mark.parametrize("strategy", list(STRATEGIES.values()),
                              ids=list(STRATEGIES))
-    def test_indexing_and_slicing_match_iteration(self, synth, strategy):
+    def test_iteration_matches_columns(self, synth, strategy):
         streams, protos = synth
         user = sorted(streams)[0]
         result = run_user_stream(streams[user], protos, strategy,
