@@ -105,10 +105,6 @@ def parse_strategy(name: str, w: float | None, ws: float | None,
 def cmd_synth(args) -> int:
     cfg = SynthConfig(**{name: getattr(args, flag.replace("-", "_"))
                          for flag, name in SYNTH_FLAGS.items()})
-    try:
-        cfg.validate()
-    except SpcError as e:
-        raise UsageError(str(e)) from None
     train, streams, registry, manifest = generate_synthetic(cfg)
     os.makedirs(args.out_dir, exist_ok=True)
     train_path = os.path.join(args.out_dir, "train.records")
@@ -174,12 +170,9 @@ def cmd_sweep(args) -> int:
     sweep, spec, param = ((sweep_w, args.w_grid, "w")
                           if args.w_grid is not None
                           else (sweep_ws, args.ws_grid, "w_s"))
-    try:
-        results = sweep(streams, protos, parse_grid(spec), k_list=k_list,
-                        bucket_width=args.bucket)
-        table = sweep_table(results, param, k_list, args.bucket)
-    except SpcError as e:
-        raise UsageError(str(e)) from None
+    results = sweep(streams, protos, parse_grid(spec), k_list=k_list,
+                    bucket_width=args.bucket)
+    table = sweep_table(results, param, k_list, args.bucket)
     write_report(table, args.out, fmt=args.format, precise=args.precise)
     print(f"wrote {args.out} ({len(results)} rows)")
     return 0

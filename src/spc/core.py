@@ -9,6 +9,7 @@ its float64 copy.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,19 @@ class LabelRegistry:
 
     def resolve(self, class_id: int) -> str:
         return self._label_of[class_id]
+
+
+def check_int(value, name: str, low: int) -> int:
+    """value as a Python int, once it is checked to be an integer (a numpy
+    integer counts; 1.5 does not) from low to 2**63 - 1, the int64 range."""
+    try:
+        i = operator.index(value)
+    except TypeError:
+        i = None
+    if i is None or not low <= i < 2**63:
+        raise SpcError(f"{name} must be an integer from {low} to 2**63 - 1, "
+                       f"got {value!r}")
+    return i
 
 
 def normalize(raw) -> np.ndarray:
@@ -126,10 +140,8 @@ class LabeledRecord:
     vec: np.ndarray
 
     def __post_init__(self):
-        if self.t < 1:
-            raise SpcError(f"record index t must be >= 1, got {self.t}")
-        if self.class_id < 0:
-            raise SpcError(f"class id must be >= 0, got {self.class_id}")
+        check_int(self.t, "record index t", 1)
+        check_int(self.class_id, "class id", 0)
 
 
 class UserStore:
@@ -141,9 +153,9 @@ class UserStore:
     per-call conversion.
 
     Each class has a dense slot, numbered by first arrival and assigned
-    when a ranking reads `slots`, which keeps append free of it. The store
-    keeps its last ranking's ClassLayout, which the next ranking extends,
-    so calls that append to or rank one store must not overlap.
+    by append. The store keeps its last ranking's ClassLayout, which the
+    next ranking extends, so calls that append to or rank one store must
+    not overlap.
     """
 
     def __init__(self, dim: int) -> None:
@@ -151,11 +163,9 @@ class UserStore:
             raise SpcError("dim must be positive")
         self.dim = dim
         self._vecs = np.empty((32, dim))
-        self._classes = np.empty(32, dtype=np.int64)
-        self._n = 0
-        # row -> slot for _n_slotted rows; class id -> slot, in slot order
+        # each row's class slot; class id -> slot, in slot order
         self._slots = np.empty(32, dtype=np.intp)
-        self._n_slotted = 0
+        self._n = 0
         self._slot_of: dict[int, int] = {}
         self._layout: ClassLayout | None = None
 
@@ -163,19 +173,19 @@ class UserStore:
         v = np.asarray(vec, dtype=np.float32)
         n = self._n
         if v.shape == (self.dim,):
-            if n == len(self._classes):
+            if n == len(self._slots):
                 # new arrays, so views handed out earlier keep their rows
                 self._vecs = np.resize(self._vecs, (2 * n, self.dim))
-                self._classes = np.resize(self._classes, 2 * n)
+                self._slots = np.resize(self._slots, 2 * n)
             # the float32 values go straight into the row past the end,
             # which is not visible until _n moves, and are checked there
             self._vecs[n] = v
             check_unit(self._vecs[n])
         else:
             check_unit(v, self.dim)  # raises: the shape is wrong
-        if class_id < 0:
-            raise SpcError(f"class id must be >= 0, got {class_id}")
-        self._classes[n] = class_id
+        class_id = check_int(class_id, "class id", 0)
+        slot_of = self._slot_of
+        self._slots[n] = slot_of.setdefault(class_id, len(slot_of))
         self._n = n + 1
 
     def __len__(self) -> int:
@@ -187,26 +197,18 @@ class UserStore:
 
     @property
     def classes(self) -> np.ndarray:
-        return self._classes[: self._n]
+        ids = np.fromiter(self._slot_of, np.int64, len(self._slot_of))
+        return ids[self.slots]
 
     @property
     def slots(self) -> np.ndarray:
         """Each row's class slot."""
-        n0, n = self._n_slotted, self._n
-        if n0 < n:
-            if len(self._slots) < n:
-                self._slots = np.resize(self._slots, len(self._classes))
-            slot_of = self._slot_of
-            self._slots[n0:n] = [slot_of.setdefault(c, len(slot_of))
-                                 for c in self._classes[n0:n].tolist()]
-            self._n_slotted = n
-        return self._slots[:n]
+        return self._slots[: self._n]
 
     def layout(self, protos: PrototypeSet | None) -> ClassLayout:
         """The class layout of this store against protos: the one of the
         last call while protos is the same object, extended by the
         classes that arrived since."""
-        self.slots  # assigns the slots of new rows
         layout = self._layout
         if layout is None or layout.protos is not protos:
             layout = self._layout = ClassLayout(protos, self._slot_of)
@@ -227,18 +229,18 @@ class PrototypeSet:
         if dim < 1:
             raise SpcError("dim must be positive")
         self.dim = dim
-        ids = np.asarray(list(class_ids), dtype=np.int64)
+        ids = np.array([check_int(c, "class id", 0) for c in class_ids],
+                       dtype=np.int64)
         if vectors is None:
             vectors = np.empty((0, dim), dtype=np.float32)
         vecs = np.asarray(vectors, dtype=np.float32).reshape(len(ids), dim)
         self.row_of = {c: r for r, c in enumerate(ids.tolist())}
         if len(self.row_of) != len(ids):
             raise SpcError("duplicate class id in prototype set")
-        if (ids < 0).any():
-            raise SpcError(f"class id must be >= 0, got {ids.min()}")
-        if counts and min(counts.values()) < 1:
-            raise SpcError(f"prototype count must be >= 1, got "
-                           f"{min(counts.values())}")
+        if counts:
+            counts = {check_int(c, "class id", 0):
+                      check_int(k, "prototype count", 1)
+                      for c, k in counts.items()}
         matrix64 = vecs.astype(np.float64)
         bad = non_unit_rows(matrix64)
         if len(bad):
@@ -248,8 +250,7 @@ class PrototypeSet:
         self.class_ids = ids
         self.matrix = vecs
         self.matrix64 = matrix64
-        self.counts: dict[int, int] | None = (
-            {int(k): int(v) for k, v in counts.items()} if counts else None)
+        self.counts: dict[int, int] | None = counts or None
 
     def __len__(self) -> int:
         return len(self.class_ids)

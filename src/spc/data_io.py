@@ -128,7 +128,8 @@ def read_records(path, registry: LabelRegistry | None = None):
             # bool is an int subclass, 1.0 would pass for 1; t goes to int64
             if type(t) is not int or not 1 <= t < 2**63:
                 raise FileFormatError(
-                    f"{path}:{lineno}: t must be an integer >= 1, got {t!r}")
+                    f"{path}:{lineno}: t must be an integer from 1 to "
+                    f"2**63 - 1, got {t!r}")
             _check_label(label, path, lineno)
             vec = _check_vec(vec, dim, path, lineno, renorm)
             records.append(LabeledRecord(user=user, t=t,
@@ -175,8 +176,9 @@ def read_prototypes(path, registry: LabelRegistry | None = None):
             _check_label(label, path, lineno)
             if count is not None and (type(count) is not int
                                       or not 1 <= count < 2**63):
-                raise FileFormatError(f"{path}:{lineno}: count must be null "
-                                      f"or an integer >= 1, got {count!r}")
+                raise FileFormatError(
+                    f"{path}:{lineno}: count must be null or an integer "
+                    f"from 1 to 2**63 - 1, got {count!r}")
             if label in seen:
                 raise FileFormatError(f"{path}:{lineno}: duplicate label "
                                       f"{label!r}")

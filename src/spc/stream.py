@@ -214,7 +214,8 @@ def _mean_versions(queries, ids, rows, protos, mode):
     acc = dict(zip(seed_rows.tolist(), seed_acc))
     count = dict(zip(seed_rows.tolist(), seed_count.tolist()))
     sums = np.concatenate((seed_acc, np.empty_like(queries)))
-    counts = np.concatenate((seed_count, np.empty(len(rows), np.int64)))
+    # float64, as unit_means divides by it: a count past int64 still fits
+    counts = np.concatenate((seed_count, np.empty(len(rows))))
     for t, c in enumerate(rows.tolist()):
         acc[c] = acc[c] + queries[t] if c in acc else queries[t]
         count[c] = count.get(c, 0) + 1

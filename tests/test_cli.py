@@ -98,6 +98,14 @@ class TestSynthCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"] == asdict(replace(SynthConfig(), **fields))
 
+    def test_bad_config_is_a_data_error(self, tmp_path, capsys):
+        out = tmp_path / "b"
+        code, _, err = run(["synth", "--users", "0", "--out-dir", str(out)],
+                           capsys)
+        assert code == 1
+        assert err.startswith("spc: error: users and records_per_user must")
+        assert not out.exists()
+
     def test_flags_keep_their_order(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["synth", "--help"])
@@ -244,6 +252,27 @@ class TestSweepCommand:
         assert run(base, capsys)[0] == 2
         assert run(base + ["--w-grid", "0.8,0.9",
                            "--ws-grid", "0.1,0.2"], capsys)[0] == 2
+
+    @pytest.mark.parametrize("dim, grid", [(2, "0.8"), (None, "0.8,1.5")],
+                             ids=["dim-mismatch", "w-out-of-range"])
+    def test_data_error_exits_1_as_in_eval(self, bench, capsys, dim, grid):
+        protos = bench / "common.protos"
+        if dim is not None:
+            protos = bench / "other.protos"
+            protos.write_text(
+                json.dumps({"format": "spc-prototypes", "version": 1,
+                            "dim": dim}) + "\n"
+                + json.dumps({"label": "c", "vec": [0.6, 0.8]}) + "\n")
+        inputs = ["--prototypes", str(protos),
+                  "--stream", str(bench / "stream.records")]
+        code, _, err = run(["sweep", "--w-grid", grid, *inputs,
+                            "--out", str(bench / "s.tsv")], capsys)
+        assert code == 1 and err.startswith("spc: error:")
+        code, _, eval_err = run(["eval", "--strategy", "spc", "--w",
+                                 grid.split(",")[-1], *inputs,
+                                 "--out", str(bench / "e.tsv")], capsys)
+        assert (code, eval_err) == (1, err)
+        assert not (bench / "s.tsv").exists()
 
 
 class TestCvCommand:

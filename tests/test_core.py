@@ -117,7 +117,8 @@ class TestUserStore:
 
     def test_negative_class_id_rejected(self):
         store = UserStore(2)
-        with pytest.raises(SpcError, match="class id must be >= 0"):
+        with pytest.raises(SpcError,
+                           match="class id must be an integer from 0"):
             store.append(normalize([1.0, 0.0]), -1)
         assert len(store) == 0
 
@@ -127,7 +128,9 @@ class TestUserStore:
         (normalize([1.0, 0.0, 0.0]), 0, DimensionMismatchError),
         (np.array([1.0, 1.0], dtype=np.float32), 0, NormalizationError),
         (np.array([np.nan, 0.0], dtype=np.float32), 0, NormalizationError),
-        (normalize([1.0, 0.0]), -1, SpcError)])
+        (normalize([1.0, 0.0]), -1, SpcError),
+        (normalize([1.0, 0.0]), 1.5, SpcError),
+        (normalize([1.0, 0.0]), 2**63, SpcError)])
     def test_rejected_append_changes_nothing(self, n_before, vec, class_id,
                                              error):
         rng = np.random.default_rng(n_before)
@@ -186,19 +189,36 @@ class TestPrototypeSet:
         assert len(PrototypeSet(8)) == 0
 
     def test_negative_class_id_rejected(self):
-        with pytest.raises(SpcError, match="class id must be >= 0"):
+        with pytest.raises(SpcError,
+                           match="class id must be an integer from 0"):
             PrototypeSet(2, class_ids=[-1, 3],
                          vectors=[[1.0, 0.0], [0.0, 1.0]])
 
-    @pytest.mark.parametrize("count", [0, -3])
+    @pytest.mark.parametrize("class_ids, counts", [
+        ([1.5], None), ([np.float64(2.0)], None), ([1], {1.5: 3})])
+    def test_non_integer_class_id_rejected(self, class_ids, counts):
+        with pytest.raises(SpcError, match="class id must be an integer"):
+            PrototypeSet(2, class_ids=class_ids, vectors=[[1.0, 0.0]],
+                         counts=counts)
+
+    @pytest.mark.parametrize("count", [0, -3, 2.5])
     def test_count_below_one_rejected(self, count):
-        with pytest.raises(SpcError, match="count must be >= 1"):
+        with pytest.raises(SpcError, match="count must be an integer from 1"):
             PrototypeSet(2, class_ids=[0], vectors=[[1.0, 0.0]],
                          counts={0: count})
 
 
 class TestLabeledRecord:
     def test_negative_class_id_rejected(self):
-        with pytest.raises(SpcError, match="class id must be >= 0"):
+        with pytest.raises(SpcError,
+                           match="class id must be an integer from 0"):
             LabeledRecord(user="u", t=1, class_id=-1,
+                          vec=normalize([1.0, 0.0]))
+
+    @pytest.mark.parametrize("t, class_id, field", [
+        (2.5, 1, "record index t"), (1, 1.9, "class id"),
+        (2, np.float64(1.0), "class id")])
+    def test_non_integer_rejected(self, t, class_id, field):
+        with pytest.raises(SpcError, match=f"{field} must be an integer"):
+            LabeledRecord(user="u", t=t, class_id=class_id,
                           vec=normalize([1.0, 0.0]))

@@ -246,7 +246,9 @@ class TestClassLayout:
                 if len(protos):
                     self.assert_same(q, None, protos,
                                      cfgs[rng.integers(0, len(cfgs))])
-            store.append(vec(), int(rng.integers(0, 40)))
+            # a numpy id and the same Python id must share one slot
+            c = int(rng.integers(0, 40))
+            store.append(vec(), np.int64(c) if len(store) % 2 else c)
 
     def test_sparse_ids_rank_in_little_memory(self):
         # arrays sized by the largest id would take 16 MB each here

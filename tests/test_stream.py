@@ -594,6 +594,13 @@ NEGATIVE = (
     PrototypeSet(2, class_ids=[0, 1],
                  vectors=[normalize([-1.0, 0.2]), normalize([-0.2, 1.0])],
                  counts={0: 3, 1: 5}))
+# a training count at the top of int64: the record of that class takes
+# its running count past it
+HUGE_COUNT = (
+    [LabeledRecord(user="u", t=1, class_id=0, vec=normalize([0.6, 0.8]))],
+    PrototypeSet(2, class_ids=[0, 1],
+                 vectors=[normalize([1.0, 0.0]), normalize([0.0, 1.0])],
+                 counts={0: 2**63 - 1, 1: 5}))
 
 
 class TestMeanReplayMatchesReference:
@@ -603,6 +610,7 @@ class TestMeanReplayMatchesReference:
 
     @example((*NEGATIVE, Strategy(kind="ncm-fixed"), 256))
     @example((*NEGATIVE, Strategy(kind="ncm-incr"), 1))
+    @example((*HUGE_COUNT, Strategy(kind="ncm-incr"), 256))
     @settings(max_examples=300, deadline=None)
     @given(mean_cases())
     def test_outcomes_and_dot_counts(self, case):
