@@ -14,9 +14,8 @@ import os
 import sys
 
 from .core import SpcError
-from .data_io import (FileFormatError, read_prototypes, read_records,
-                      write_manifest, write_prototypes, write_records,
-                      write_report)
+from .data_io import (read_prototypes, read_records, write_manifest,
+                      write_prototypes, write_records, write_report)
 from .prototypes import SubsetSpec, TrainIndex, build_prototypes, coverage, \
     select_classes
 from .stream import (Strategy, cross_validate_w, evaluate, group_by_user,
@@ -293,7 +292,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"spc: error: {e}", file=sys.stderr)
         return 2
-    except (SpcError, FileFormatError, OSError) as e:
+    except (SpcError, OSError) as e:
         print(f"spc: error: {e}", file=sys.stderr)
         return 1
 

@@ -42,7 +42,7 @@ class LabelRegistry:
 
     def intern(self, label: str) -> int:
         if not isinstance(label, str) or label == "":
-            raise SpcError("label must be a non-empty string")
+            raise SpcError(f"label must be a non-empty string, got {label!r}")
         existing = self._id_of.get(label)
         if existing is not None:
             return existing
@@ -57,12 +57,13 @@ class LabelRegistry:
 
 def check_int(value, name: str, low: int) -> int:
     """value as a Python int, once it is checked to be an integer (a numpy
-    integer counts; 1.5 does not) from low to 2**63 - 1, the int64 range."""
+    integer counts; 1.5 and True do not) from low to 2**63 - 1, the int64
+    range."""
     try:
         i = operator.index(value)
     except TypeError:
         i = None
-    if i is None or not low <= i < 2**63:
+    if i is None or isinstance(value, bool) or not low <= i < 2**63:
         raise SpcError(f"{name} must be an integer from {low} to 2**63 - 1, "
                        f"got {value!r}")
     return i
@@ -140,6 +141,8 @@ class LabeledRecord:
     vec: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.user, str):
+            raise SpcError(f"user must be a string, got {self.user!r}")
         check_int(self.t, "record index t", 1)
         check_int(self.class_id, "class id", 0)
 
@@ -159,9 +162,7 @@ class UserStore:
     """
 
     def __init__(self, dim: int) -> None:
-        if dim < 1:
-            raise SpcError("dim must be positive")
-        self.dim = dim
+        self.dim = dim = check_int(dim, "dim", 1)
         self._vecs = np.empty((32, dim))
         # each row's class slot; class id -> slot, in slot order
         self._slots = np.empty(32, dtype=np.intp)
@@ -226,9 +227,7 @@ class PrototypeSet:
     """
 
     def __init__(self, dim: int, class_ids=(), vectors=None, counts=None) -> None:
-        if dim < 1:
-            raise SpcError("dim must be positive")
-        self.dim = dim
+        self.dim = dim = check_int(dim, "dim", 1)
         ids = np.array([check_int(c, "class id", 0) for c in class_ids],
                        dtype=np.int64)
         if vectors is None:

@@ -1,6 +1,7 @@
 """Line-oriented text formats: record streams, prototype sets, and report
 tables. Every file starts with a JSON header line carrying the format name,
-a version, and the embedding dimension, so readers can fail fast.
+a version, and the embedding dimension, so readers can fail fast. Field
+rules live in core; the one read loop adds path:line to what a line breaks.
 
 Vector components are float32 values, each written as `"%.9g" % x`
 (exactly zero as `repr(x)`, so -0.0 keeps its sign). That is exact: nine
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (LabeledRecord, LabelRegistry, PrototypeSet, SpcError,
-                   check_unit, normalize, stack_records)
+                   check_int, check_unit, normalize, stack_records)
 
 RECORDS_FORMAT = "spc-records"
 PROTOS_FORMAT = "spc-prototypes"
@@ -39,43 +40,69 @@ def _dump_with_vec(fields: dict, vec: np.ndarray) -> str:
     return _dump(fields)[:-1] + ',"vec":[' + ",".join(parts) + "]}"
 
 
-def _read_header(line: str, path, expected_format: str) -> dict:
+class _Fields(dict):
+    def __missing__(self, key):
+        raise SpcError(f"malformed line: missing key {key!r}")
+
+
+def _check_header(line: str, expected_format: str) -> dict:
     try:
         header = json.loads(line)
-    except json.JSONDecodeError as e:
-        raise FileFormatError(f"{path}:1: malformed header: {e}") from None
-    if header.get("format") != expected_format:
-        raise FileFormatError(
-            f"{path}:1: expected format {expected_format!r}, "
-            f"got {header.get('format')!r}")
-    if header.get("version") != FORMAT_VERSION:
-        raise FileFormatError(f"{path}:1: unsupported version "
-                              f"{header.get('version')!r}")
-    if not isinstance(header.get("dim"), int) or header["dim"] < 1:
-        raise FileFormatError(f"{path}:1: bad dim {header.get('dim')!r}")
+        fmt = header.get("format")
+    except (json.JSONDecodeError, AttributeError) as e:  # not an object
+        raise SpcError(f"malformed header: {e}") from None
+    if fmt != expected_format:
+        raise SpcError(f"expected format {expected_format!r}, got {fmt!r}")
+    if check_int(header.get("version"), "version", 1) != FORMAT_VERSION:
+        raise SpcError(f"unsupported version {header['version']!r}")
+    check_int(header.get("dim"), "dim", 1)
+    if not isinstance(header.setdefault("normalize", False), bool):
+        raise SpcError(f"normalize must be true or false, "
+                       f"got {header['normalize']!r}")
     return header
 
 
-def _check_label(label, path, lineno: int) -> None:
-    if not isinstance(label, str) or not label:
-        raise FileFormatError(f"{path}:{lineno}: label must be a non-empty "
-                              f"string, got {label!r}")
+def _read_lines(path, expected_format: str, read_line) -> dict:
+    """Check a line file's header and call read_line(header, obj, vec) on
+    each non-blank line, vec as float32; returns the header. An SpcError
+    from either is raised again as a FileFormatError citing path:line."""
+    decode = json.JSONDecoder(object_hook=_Fields).decode
+    lineno = 1
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            header = _check_header(f.readline(), expected_format)
+            for lineno, line in enumerate(f, start=2):
+                if not line.strip():
+                    continue
+                try:
+                    obj = decode(line)
+                    vec = np.asarray(obj["vec"], dtype=np.float32)
+                except (TypeError, ValueError) as e:  # JSON is a ValueError
+                    raise SpcError(f"malformed line: {e}") from None
+                read_line(header, obj, vec)
+        except SpcError as e:
+            raise FileFormatError(f"{path}:{lineno}: {e}") from None
+    return header
 
 
-def _check_vec(vec: np.ndarray, dim: int, path, lineno: int,
-               renorm: bool = False) -> np.ndarray:
+def _check_vec(vec: np.ndarray, dim: int, renorm: bool = False) -> np.ndarray:
     """The line's vector, checked to be unit or, when renorm, normalized."""
     if vec.shape != (dim,):
-        raise FileFormatError(
-            f"{path}:{lineno}: vec length "
-            f"{vec.shape[0] if vec.ndim == 1 else '?'} does not match dim {dim}")
-    try:
-        if renorm:
-            return normalize(vec)
-        check_unit(vec)
-        return vec
-    except SpcError as e:
-        raise FileFormatError(f"{path}:{lineno}: {e}") from None
+        raise SpcError(f"vec length {vec.shape[0] if vec.ndim == 1 else '?'} "
+                       f"does not match dim {dim}")
+    if renorm:
+        return normalize(vec)
+    check_unit(vec)
+    return vec
+
+
+def _write_lines(path, fmt: str, header: dict, rows) -> None:
+    """Write a header line of format fmt, then one line per (fields, vec)."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(_dump({"format": fmt, "version": FORMAT_VERSION, **header})
+                + "\n")
+        for fields, vec in rows:
+            f.write(_dump_with_vec(fields, vec) + "\n")
 
 
 def write_records(records, path, registry: LabelRegistry | None = None,
@@ -89,13 +116,10 @@ def write_records(records, path, registry: LabelRegistry | None = None,
         dim = len(records[0].vec)
     vecs = stack_records(records, dim, np.float32)
     resolve = registry.resolve if registry is not None else str
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(_dump({"format": RECORDS_FORMAT, "version": FORMAT_VERSION,
-                       "dim": dim, "normalize": False}) + "\n")
-        for rec, vec in zip(records, vecs):
-            f.write(_dump_with_vec({"user": rec.user, "t": rec.t,
-                                    "label": resolve(rec.class_id)}, vec)
-                    + "\n")
+    _write_lines(path, RECORDS_FORMAT, {"dim": dim, "normalize": False},
+                 (({"user": rec.user, "t": rec.t,
+                    "label": resolve(rec.class_id)}, vec)
+                  for rec, vec in zip(records, vecs)))
 
 
 def read_records(path, registry: LabelRegistry | None = None):
@@ -108,33 +132,14 @@ def read_records(path, registry: LabelRegistry | None = None):
     if registry is None:
         registry = LabelRegistry()
     records: list[LabeledRecord] = []
-    with open(path, "r", encoding="utf-8") as f:
-        header = _read_header(f.readline(), path, RECORDS_FORMAT)
-        dim = header["dim"]
-        renorm = bool(header.get("normalize", False))
-        for lineno, line in enumerate(f, start=2):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                user, t, label = obj["user"], obj["t"], obj["label"]
-                vec = np.asarray(obj["vec"], dtype=np.float32)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-                raise FileFormatError(f"{path}:{lineno}: malformed record: {e}") \
-                    from None
-            if not isinstance(user, str):
-                raise FileFormatError(
-                    f"{path}:{lineno}: user must be a string, got {user!r}")
-            # bool is an int subclass, 1.0 would pass for 1; t goes to int64
-            if type(t) is not int or not 1 <= t < 2**63:
-                raise FileFormatError(
-                    f"{path}:{lineno}: t must be an integer from 1 to "
-                    f"2**63 - 1, got {t!r}")
-            _check_label(label, path, lineno)
-            vec = _check_vec(vec, dim, path, lineno, renorm)
-            records.append(LabeledRecord(user=user, t=t,
-                                         class_id=registry.intern(label),
-                                         vec=vec))
+
+    def read_line(header, obj, vec):
+        records.append(LabeledRecord(
+            user=obj["user"], t=check_int(obj["t"], "t", 1),
+            class_id=registry.intern(obj["label"]),
+            vec=_check_vec(vec, header["dim"], header["normalize"])))
+
+    _read_lines(path, RECORDS_FORMAT, read_line)
     return records, registry
 
 
@@ -142,13 +147,10 @@ def write_prototypes(protos: PrototypeSet, path,
                      registry: LabelRegistry | None = None) -> None:
     """One line per class: label, training count, prototype vector."""
     resolve = registry.resolve if registry is not None else str
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(_dump({"format": PROTOS_FORMAT, "version": FORMAT_VERSION,
-                       "dim": protos.dim}) + "\n")
-        for i, c in enumerate(protos.class_ids):
-            count = protos.counts.get(int(c)) if protos.counts else None
-            f.write(_dump_with_vec({"label": resolve(int(c)), "count": count},
-                                   protos.matrix[i]) + "\n")
+    counts = protos.counts or {}
+    _write_lines(path, PROTOS_FORMAT, {"dim": protos.dim},
+                 (({"label": resolve(c), "count": counts.get(c)}, vec)
+                  for c, vec in zip(protos.class_ids.tolist(), protos.matrix)))
 
 
 def read_prototypes(path, registry: LabelRegistry | None = None):
@@ -158,40 +160,18 @@ def read_prototypes(path, registry: LabelRegistry | None = None):
     """
     if registry is None:
         registry = LabelRegistry()
-    with open(path, "r", encoding="utf-8") as f:
-        header = _read_header(f.readline(), path, PROTOS_FORMAT)
-        dim = header["dim"]
-        seen: set[str] = set()
-        ids, vecs, counts = [], [], {}
-        for lineno, line in enumerate(f, start=2):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                label, count = obj["label"], obj.get("count")
-                vec = np.asarray(obj["vec"], dtype=np.float32)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-                raise FileFormatError(f"{path}:{lineno}: malformed line: {e}") \
-                    from None
-            _check_label(label, path, lineno)
-            if count is not None and (type(count) is not int
-                                      or not 1 <= count < 2**63):
-                raise FileFormatError(
-                    f"{path}:{lineno}: count must be null or an integer "
-                    f"from 1 to 2**63 - 1, got {count!r}")
-            if label in seen:
-                raise FileFormatError(f"{path}:{lineno}: duplicate label "
-                                      f"{label!r}")
-            seen.add(label)
-            _check_vec(vec, dim, path, lineno)
-            cid = registry.intern(label)
-            ids.append(cid)
-            vecs.append(vec)
-            if count is not None:
-                counts[cid] = count
-    vectors = np.stack(vecs) if vecs else None
-    return PrototypeSet(dim=dim, class_ids=ids, vectors=vectors,
-                        counts=counts or None), registry
+    rows, counts = {}, {}
+
+    def read_line(header, obj, vec):
+        cid = registry.intern(obj["label"])
+        if obj.get("count") is not None:
+            counts[cid] = check_int(obj["count"], "count", 1)
+        if cid in rows:
+            raise SpcError(f"duplicate label {obj['label']!r}")
+        rows[cid] = _check_vec(vec, header["dim"])
+
+    dim = _read_lines(path, PROTOS_FORMAT, read_line)["dim"]
+    return PrototypeSet(dim, list(rows), list(rows.values()), counts), registry
 
 
 @dataclass

@@ -130,7 +130,8 @@ class TestUserStore:
         (np.array([np.nan, 0.0], dtype=np.float32), 0, NormalizationError),
         (normalize([1.0, 0.0]), -1, SpcError),
         (normalize([1.0, 0.0]), 1.5, SpcError),
-        (normalize([1.0, 0.0]), 2**63, SpcError)])
+        (normalize([1.0, 0.0]), 2**63, SpcError),
+        (normalize([1.0, 0.0]), True, SpcError)])
     def test_rejected_append_changes_nothing(self, n_before, vec, class_id,
                                              error):
         rng = np.random.default_rng(n_before)
@@ -195,13 +196,14 @@ class TestPrototypeSet:
                          vectors=[[1.0, 0.0], [0.0, 1.0]])
 
     @pytest.mark.parametrize("class_ids, counts", [
-        ([1.5], None), ([np.float64(2.0)], None), ([1], {1.5: 3})])
+        ([1.5], None), ([np.float64(2.0)], None), ([1], {1.5: 3}),
+        ([True], None)])
     def test_non_integer_class_id_rejected(self, class_ids, counts):
         with pytest.raises(SpcError, match="class id must be an integer"):
             PrototypeSet(2, class_ids=class_ids, vectors=[[1.0, 0.0]],
                          counts=counts)
 
-    @pytest.mark.parametrize("count", [0, -3, 2.5])
+    @pytest.mark.parametrize("count", [0, -3, 2.5, True])
     def test_count_below_one_rejected(self, count):
         with pytest.raises(SpcError, match="count must be an integer from 1"):
             PrototypeSet(2, class_ids=[0], vectors=[[1.0, 0.0]],
@@ -217,8 +219,23 @@ class TestLabeledRecord:
 
     @pytest.mark.parametrize("t, class_id, field", [
         (2.5, 1, "record index t"), (1, 1.9, "class id"),
-        (2, np.float64(1.0), "class id")])
+        (2, np.float64(1.0), "class id"), (True, 1, "record index t"),
+        (1, False, "class id")])
     def test_non_integer_rejected(self, t, class_id, field):
         with pytest.raises(SpcError, match=f"{field} must be an integer"):
             LabeledRecord(user="u", t=t, class_id=class_id,
                           vec=normalize([1.0, 0.0]))
+
+    @pytest.mark.parametrize("user", [5, None, b"u"])
+    def test_non_string_user_rejected(self, user):
+        with pytest.raises(SpcError,
+                           match=f"user must be a string, got {user!r}"):
+            LabeledRecord(user=user, t=1, class_id=0,
+                          vec=normalize([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("make", [UserStore, PrototypeSet])
+@pytest.mark.parametrize("dim", [0, 2.5, True])
+def test_dim_must_be_a_positive_integer(make, dim):
+    with pytest.raises(SpcError, match="dim must be an integer from 1"):
+        make(dim)

@@ -200,6 +200,30 @@ class TestRecordsRoundTrip:
         with pytest.raises(FileFormatError, match=":1:"):
             read_records(path)
 
+    @pytest.mark.parametrize("field,value", [
+        ("version", True), ("version", 1.0), ("dim", True), ("dim", 2.0),
+        ("normalize", "false"), ("normalize", 0)])
+    def test_header_field_of_wrong_type_rejected(self, tmp_path, field,
+                                                 value):
+        """A header value equal to a legal one but of another type is
+        refused: "normalize": "false" would otherwise turn normalizing on."""
+        path = tmp_path / "a.records"
+        header = {"format": "spc-records", "version": 1, "dim": 2,
+                  "normalize": False, field: value}
+        line = {"user": "u", "t": 1, "label": "c", "vec": [3.0, 4.0]}
+        path.write_text(json.dumps(header) + "\n" + json.dumps(line) + "\n")
+        with pytest.raises(FileFormatError,
+                           match=re.escape(f"{path}:1: {field} must be")):
+            read_records(path)
+
+    @pytest.mark.parametrize("header", ["[1, 2]", '"spc-records"', ""])
+    def test_header_that_is_no_object_rejected(self, tmp_path, header):
+        path = tmp_path / "a.records"
+        path.write_text(header + "\n")
+        with pytest.raises(FileFormatError,
+                           match=re.escape(f"{path}:1: malformed header")):
+            read_records(path)
+
 
 class TestPrototypesRoundTrip:
     def test_round_trip_with_counts(self, tmp_path):
@@ -290,6 +314,15 @@ def test_vector_format_is_bit_exact_for_finite_float32(bits):
     np.testing.assert_array_equal(back.view(np.uint32), vec.view(np.uint32))
 
 
+# per kind: the reader, a header and a good line
+READERS = {
+    "records": (read_records, {"format": "spc-records", "version": 1,
+                               "dim": 2},
+                {"user": "u", "t": 1, "label": "c", "vec": [0.6, 0.8]}),
+    "prototypes": (read_prototypes, {"format": "spc-prototypes",
+                                     "version": 1, "dim": 2},
+                   {"label": "c", "count": 3, "vec": [0.6, 0.8]}),
+}
 BAD_FIELDS = [
     ("records", "t", "x"), ("records", "t", 0), ("records", "t", 1.7),
     ("records", "t", True), ("records", "label", 5), ("records", "label", ""),
@@ -301,22 +334,38 @@ BAD_FIELDS = [
 ]
 
 
-@pytest.mark.parametrize("kind,field,value", BAD_FIELDS,
-                         ids=[f"{k}-{f}={v!r}" for k, f, v in BAD_FIELDS])
-def test_bad_field_fails_with_line_number(tmp_path, kind, field, value):
-    read, header, good = {
-        "records": (read_records, {"format": "spc-records", "version": 1,
-                                   "dim": 2},
-                    {"user": "u", "t": 1, "label": "c", "vec": [0.6, 0.8]}),
-        "prototypes": (read_prototypes, {"format": "spc-prototypes",
-                                         "version": 1, "dim": 2},
-                       {"label": "c", "count": 3, "vec": [0.6, 0.8]}),
-    }[kind]
+# each case as line 2, then as line 3 after one good line
+@pytest.mark.parametrize(
+    "kind,field,value,lineno",
+    [case + (lineno,) for lineno in (2, 3) for case in BAD_FIELDS],
+    ids=[f"{k}-{f}={v!r}" + ("" if lineno == 2 else "-after-a-good-line")
+         for lineno in (2, 3) for k, f, v in BAD_FIELDS])
+def test_bad_field_fails_with_line_number(tmp_path, kind, field, value,
+                                          lineno):
+    read, header, good = READERS[kind]
+    lines = [header] + [{**good, "label": "g"}] * (lineno - 2)
+    lines.append({**good, field: value})
     path = tmp_path / "bad"
-    path.write_text(json.dumps(header) + "\n"
-                    + json.dumps({**good, field: value}) + "\n")
+    path.write_text("\n".join(json.dumps(x) for x in lines) + "\n")
     with pytest.raises(FileFormatError,
-                       match=re.escape(f"{path}:2: {field} must be")):
+                       match=re.escape(f"{path}:{lineno}: {field} must be")):
+        read(path)
+
+
+MISSING_KEYS = [("records", "user"), ("records", "t"), ("records", "label"),
+                ("records", "vec"), ("prototypes", "label"),
+                ("prototypes", "vec")]
+
+
+@pytest.mark.parametrize("kind,key", MISSING_KEYS)
+def test_missing_key_is_a_malformed_line(tmp_path, kind, key):
+    read, header, good = READERS[kind]
+    bad = {k: v for k, v in good.items() if k != key}
+    path = tmp_path / "bad"
+    path.write_text("\n".join(json.dumps(x) for x in (
+        header, {**good, "label": "g"}, bad)) + "\n")
+    with pytest.raises(FileFormatError, match=re.escape(
+            f"{path}:3: malformed line: missing key {key!r}")):
         read(path)
 
 
