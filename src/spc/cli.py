@@ -18,14 +18,14 @@ from .data_io import (read_prototypes, read_records, write_manifest,
                       write_prototypes, write_records, write_report)
 from .prototypes import SubsetSpec, TrainIndex, build_prototypes, coverage, \
     select_classes
-from .stream import (Strategy, cross_validate_w, evaluate, group_by_user,
-                     sweep_table, sweep_w, sweep_ws)
+from .stream import (BUCKET_WIDTH, K_LIST, Strategy, cross_validate_w,
+                     evaluate, group_by_user, sweep_table, sweep_w, sweep_ws)
 from .synth import SynthConfig, generate_synthetic
 
 # --strategy name -> the strategy at its default settings, in report order
 STRATEGIES = {
-    "spc": Strategy(kind="spc", w=0.85),
-    "spc-sum": Strategy(kind="spc-sum", w_s=0.5),
+    "spc": Strategy(kind="spc"),
+    "spc-sum": Strategy(kind="spc-sum"),
     "1nn": Strategy(kind="1nn"),
     "1nn-star": Strategy(kind="1nn-star"),
     "ncm-fixed": Strategy(kind="ncm-fixed"),
@@ -202,7 +202,7 @@ def cmd_bench(args) -> int:
                evaluate(streams, protos, s).to_table(s.label()))
               for s in STRATEGIES.values()]
     tables.append(("sweep-w", sweep_table(sweep_w(streams, protos, grid), "w",
-                                          (1, 5), 50)))
+                                          K_LIST, BUCKET_WIDTH)))
     cv = cross_validate_w(streams, protos, grid, seed=args.seed)
     tables.append(("cv-w", cv.to_table()))
     os.makedirs(args.out_dir, exist_ok=True)
@@ -240,8 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_eval_common(p):
         p.add_argument("--prototypes", default=None)
         p.add_argument("--stream", required=True)
-        p.add_argument("--topk", default="1,5")
-        p.add_argument("--bucket", type=int, default=50)
+        p.add_argument("--topk", default=",".join(map(str, K_LIST)))
+        p.add_argument("--bucket", type=int, default=BUCKET_WIDTH)
         p.add_argument("--out", required=True)
         p.add_argument("--format", choices=FORMATS, default="tsv")
         p.add_argument("--precise", action="store_true")

@@ -143,7 +143,7 @@ class LabeledRecord:
     def __post_init__(self):
         if not isinstance(self.user, str):
             raise SpcError(f"user must be a string, got {self.user!r}")
-        check_int(self.t, "record index t", 1)
+        check_int(self.t, "t", 1)
         check_int(self.class_id, "class id", 0)
 
 

@@ -45,11 +45,11 @@ class _Fields(dict):
         raise SpcError(f"malformed line: missing key {key!r}")
 
 
-def _check_header(line: str, expected_format: str) -> dict:
+def _check_header(line: bytes, expected_format: str) -> dict:
     try:
-        header = json.loads(line)
+        header = json.loads(line.decode("utf-8"))
         fmt = header.get("format")
-    except (json.JSONDecodeError, AttributeError) as e:  # not an object
+    except (ValueError, AttributeError) as e:  # bad UTF-8, JSON or object
         raise SpcError(f"malformed header: {e}") from None
     if fmt != expected_format:
         raise SpcError(f"expected format {expected_format!r}, got {fmt!r}")
@@ -68,16 +68,17 @@ def _read_lines(path, expected_format: str, read_line) -> dict:
     from either is raised again as a FileFormatError citing path:line."""
     decode = json.JSONDecoder(object_hook=_Fields).decode
     lineno = 1
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "rb") as f:  # decoded per line: bad UTF-8 cites its line
         try:
             header = _check_header(f.readline(), expected_format)
             for lineno, line in enumerate(f, start=2):
-                if not line.strip():
-                    continue
                 try:
+                    line = line.decode("utf-8")
+                    if not line.strip():
+                        continue
                     obj = decode(line)
                     vec = np.asarray(obj["vec"], dtype=np.float32)
-                except (TypeError, ValueError) as e:  # JSON is a ValueError
+                except (TypeError, ValueError) as e:  # bad UTF-8 or JSON
                     raise SpcError(f"malformed line: {e}") from None
                 read_line(header, obj, vec)
         except SpcError as e:
@@ -135,7 +136,7 @@ def read_records(path, registry: LabelRegistry | None = None):
 
     def read_line(header, obj, vec):
         records.append(LabeledRecord(
-            user=obj["user"], t=check_int(obj["t"], "t", 1),
+            user=obj["user"], t=obj["t"],
             class_id=registry.intern(obj["label"]),
             vec=_check_vec(vec, header["dim"], header["normalize"])))
 

@@ -5,9 +5,9 @@ per-record results into bucketed report tables.
 A user's results are one columnar UserResult: per record, the 0-based rank
 position of the true class (a hit at k is rank < k), the predicted class
 and the upper-limit flags. Reports, sweeps and cross-validation read these
-arrays directly; Outcome objects are built only when a caller iterates a
-result. The in-union flag is the harness's own bookkeeping, so it holds
-even for strategies that do not learn.
+arrays directly; iterating a result gives each record's hits and top-1 as
+an Outcome. The in-union flag is the harness's own bookkeeping, so it
+holds even for strategies that do not learn.
 
 Every strategy is replayed by one function, _replay, per user rather
 than step by step: since the store at step t holds exactly records
@@ -34,6 +34,7 @@ from .data_io import ReportTable
 from .engine import DotCounter, SpcConfig, SumConfig
 
 STRATEGY_KINDS = ("spc", "spc-sum", "ncm-fixed", "ncm-incr", "1nn", "1nn-star")
+K_LIST, BUCKET_WIDTH = (1, 5), 50  # the report defaults
 # ncm-incr's mean_mode: seed each initial class's running mean at its
 # training count, or at count 1 (see Strategy)
 MEAN_MODES = ("full-history", "mean-as-one")
@@ -54,8 +55,8 @@ class Strategy:
     """
 
     kind: str = "spc"
-    w: float = 0.85
-    w_s: float = 0.5
+    w: float = SpcConfig.w
+    w_s: float = SumConfig.w_s
     mean_mode: str = "full-history"
     learn: bool = True
 
@@ -81,15 +82,10 @@ class Strategy:
 
 @dataclass(frozen=True, slots=True)
 class Outcome:
-    """One record's evaluation result: a view of one row of a UserResult,
-    built on demand when the result is iterated."""
+    """One record's hits at each k and top-1, built on demand when a
+    UserResult is iterated."""
 
-    user: str
-    t: int
-    true_class: int
     hits: dict[int, bool]
-    in_initial: bool
-    in_union: bool
     predicted: int | None
 
 
@@ -99,38 +95,30 @@ MISS = np.iinfo(np.intp).max
 
 @dataclass(frozen=True, eq=False)
 class UserResult:
-    """One user's evaluation results as columns in t order.
+    """One user's evaluation results as columns; row i is the record at
+    t = i + 1.
 
     rank is the 0-based rank position of the true class, MISS where it was
     not a candidate, so a hit at k is rank < k. predicted is the top-1
     class id, -1 where nothing was ranked; a sweep skips the top-1, so its
-    results hold None there, and so do their Outcome views.
-
-    Only iteration gives Outcome views, built on demand.
+    results hold None there, and their Outcomes predict None.
     """
 
-    user: str
     k_list: tuple[int, ...]
-    t: np.ndarray
     true_class: np.ndarray
     rank: np.ndarray
     predicted: np.ndarray | None
     in_initial: np.ndarray
     in_union: np.ndarray
 
-    COLUMNS = ("t", "true_class", "rank", "predicted", "in_initial",
-               "in_union")
-
     def __len__(self) -> int:
-        return len(self.t)
+        return len(self.rank)
 
     def __iter__(self):
-        columns = ([-1] * len(self) if (col := getattr(self, name)) is None
-                   else col.tolist() for name in self.COLUMNS)
-        for t, cls, pos, top, ini, uni in zip(*columns):
-            yield Outcome(user=self.user, t=t, true_class=cls,
-                          hits={k: pos < k for k in self.k_list},
-                          in_initial=ini, in_union=uni,
+        tops = ([-1] * len(self) if self.predicted is None
+                else self.predicted.tolist())
+        for pos, top in zip(self.rank.tolist(), tops):
+            yield Outcome(hits={k: pos < k for k in self.k_list},
                           predicted=None if top < 0 else top)
 
 
@@ -152,10 +140,10 @@ def _prefix_max(queries, rows, b0, su) -> None:
 
 
 def _columns(records, protos) -> dict:
-    """The UserResult fields that do not depend on the strategy, once t is
-    checked to run 1..T. Per record, in_initial: its class is an initial
-    (prototype) class; in_union: its class is initial or appeared earlier
-    in the stream."""
+    """The UserResult columns that do not depend on the strategy, once t
+    is checked to run 1..T. Per record, in_initial: its class is an
+    initial (prototype) class; in_union: its class is initial or appeared
+    earlier in the stream."""
     T = len(records)
     t = np.fromiter((rec.t for rec in records), dtype=np.int64, count=T)
     gaps = np.flatnonzero(t != np.arange(1, T + 1))
@@ -167,8 +155,7 @@ def _columns(records, protos) -> dict:
                       count=T)
     in_initial = np.isin(cls, protos.class_ids if protos is not None else [])
     _, first, inverse = np.unique(cls, return_index=True, return_inverse=True)
-    return dict(user=records[0].user if records else "",
-                t=t, true_class=cls, in_initial=in_initial,
+    return dict(true_class=cls, in_initial=in_initial,
                 in_union=in_initial | (first[inverse] < np.arange(T)))
 
 
@@ -186,42 +173,38 @@ def unit_means(acc: np.ndarray, count, class_ids) -> np.ndarray:
     return means / norms[:, None]
 
 
-def _mean_versions(queries, ids, rows, protos, mode):
+def _mean_versions(queries, ids, rows, proto_rows, protos, mode):
     """ncm-incr's matrix of mean versions: the |P| seeded means, then each
     record's class mean after absorbing it, in t order (a new class starts
-    from the record, a known class adds the record to its float64 sum).
-    Also the version each class exposes at step 1, -1 for none; record j's
-    version P + j is exposed from j + 1.
+    from the record, a known class adds the record to the float64 sum of
+    its version that `last` indexes). Also the version each class exposes
+    at step 1, -1 for none; record j's version P + j is exposed from j + 1.
 
-    The seeds are the prototype classes in id order, each at the count
-    its mean_mode gives it (Strategy has checked the mode)."""
-    order = np.argsort(protos.class_ids)
-    seed_ids = protos.class_ids[order]
+    The seeds are the prototypes in row order (of classes proto_rows in
+    ids), each at the count its mean_mode gives it (Strategy has checked
+    the mode). Counts stay Python ints until their one conversion to
+    float64, so a count past int64 is rounded once."""
     if mode == "full-history":
-        if protos.counts is None or any(
-                c not in protos.counts for c in seed_ids.tolist()):
+        counts = [(protos.counts or {}).get(c)
+                  for c in protos.class_ids.tolist()]
+        if None in counts:
             raise SpcError(
                 "full-history seeding needs per-class training counts")
-        seed_count = np.array([protos.counts[c] for c in seed_ids.tolist()],
-                              dtype=np.int64)
     else:
-        seed_count = np.ones(len(seed_ids), dtype=np.int64)
-    seed_acc = protos.matrix64[order] * seed_count[:, None]
-    seed_rows = np.searchsorted(ids, seed_ids)
-    P = len(seed_rows)
+        counts = [1] * len(protos)
+    P = len(counts)
+    sums = np.concatenate((protos.matrix64 * np.reshape(counts, (-1, 1)),
+                           np.empty_like(queries)))
     latest = np.full(len(ids), -1, dtype=np.intp)
-    latest[seed_rows] = np.arange(P)
-    acc = dict(zip(seed_rows.tolist(), seed_acc))
-    count = dict(zip(seed_rows.tolist(), seed_count.tolist()))
-    sums = np.concatenate((seed_acc, np.empty_like(queries)))
-    # float64, as unit_means divides by it: a count past int64 still fits
-    counts = np.concatenate((seed_count, np.empty(len(rows))))
+    latest[proto_rows] = np.arange(P)
+    last = latest.tolist()
     for t, c in enumerate(rows.tolist()):
-        acc[c] = acc[c] + queries[t] if c in acc else queries[t]
-        count[c] = count.get(c, 0) + 1
-        sums[P + t], counts[P + t] = acc[c], count[c]
-    return unit_means(sums, counts,
-                      ids[np.concatenate((seed_rows, rows))]), latest
+        j = last[c]
+        sums[P + t] = queries[t] if j < 0 else queries[t] + sums[j]
+        counts.append(1 if j < 0 else counts[j] + 1)
+        last[c] = P + t
+    return unit_means(sums, np.array(counts, dtype=np.float64),
+                      ids[np.concatenate((proto_rows, rows))]), latest
 
 
 def _rank(score, cand, true, tie_ahead, miss) -> np.ndarray:
@@ -279,13 +262,14 @@ def _replay(records, protos, strategies, k_list, counter=None,
         with np.errstate(invalid="raise", over="raise"):
             queries = stack_records(records, dim := len(records[0].vec))
             means = kind in ("ncm-fixed", "ncm-incr")
-            use_protos = kind != "1nn-star" and bool(protos)
+            scored = None if kind == "1nn-star" else protos
+            use_protos = bool(scored)
             if means and not use_protos:
                 raise SpcError(f"strategy {kind} needs a non-empty "
                                "prototype set")
-            if use_protos and protos.dim != dim:
+            if scored is not None and scored.dim != dim:
                 raise DimensionMismatchError(
-                    f"stream dim {dim} != prototype dim {protos.dim}")
+                    f"stream dim {dim} != prototype dim {scored.dim}")
             cls = columns["true_class"]
             proto_ids = protos.class_ids if use_protos else cls[:0]
             ids, inverse = np.unique(np.concatenate((cls, proto_ids)),
@@ -295,7 +279,7 @@ def _replay(records, protos, strategies, k_list, counter=None,
             if kind == "ncm-incr":
                 seen = T if learn else 0
                 versions, latest = _mean_versions(
-                    queries[:seen], ids, rows[:seen], protos,
+                    queries[:seen], ids, rows[:seen], proto_rows, protos,
                     strategies[0].mean_mode)
             elif use_protos:
                 proto_dots = protos.matrix64 @ queries.T
@@ -360,7 +344,7 @@ def _replay(records, protos, strategies, k_list, counter=None,
 def run_user_stream(records: Sequence[LabeledRecord],
                     protos: PrototypeSet | None,
                     strategy: Strategy,
-                    k_list: Sequence[int] = (1, 5),
+                    k_list: Sequence[int] = K_LIST,
                     counter: DotCounter | None = None) -> UserResult:
     """Replay one user's stream: predict, log, then register the true label.
 
@@ -381,7 +365,7 @@ def group_by_user(records: Iterable[LabeledRecord]) -> dict[str, list[LabeledRec
 
 def run_streams(streams: dict[str, list[LabeledRecord]],
                 protos: PrototypeSet | None, strategy: Strategy,
-                k_list: Sequence[int] = (1, 5)) -> dict[str, UserResult]:
+                k_list: Sequence[int] = K_LIST) -> dict[str, UserResult]:
     """Evaluate every user independently; users never share state."""
     return _sweep(streams, protos, [strategy], k_list, top1=True)[0]
 
@@ -430,8 +414,9 @@ class BucketReport:
         return ReportTable(columns=columns, rows=rows, notes=notes)
 
 
-def bucket_report(results: dict[str, UserResult], bucket_width: int = 50,
-                  k_list: Sequence[int] = (1, 5)) -> BucketReport:
+def bucket_report(results: dict[str, UserResult],
+                  bucket_width: int = BUCKET_WIDTH,
+                  k_list: Sequence[int] = K_LIST) -> BucketReport:
     """Bucket per-user results; the mean at t averages the users whose
     stream reaches t."""
     users = list(results.values())
@@ -486,8 +471,8 @@ def bucket_report(results: dict[str, UserResult], bucket_width: int = 50,
 
 def evaluate(streams: dict[str, list[LabeledRecord]],
              protos: PrototypeSet | None, strategy: Strategy,
-             k_list: Sequence[int] = (1, 5),
-             bucket_width: int = 50) -> BucketReport:
+             k_list: Sequence[int] = K_LIST,
+             bucket_width: int = BUCKET_WIDTH) -> BucketReport:
     """Run every user through the strategy and bucket the results."""
     return bucket_report(run_streams(streams, protos, strategy, k_list),
                          bucket_width=bucket_width, k_list=k_list)
@@ -519,13 +504,13 @@ def _sweep_reports(streams, protos, kind, param, grid, k_list, bucket_width):
             for v, r in zip(grid, results)]
 
 
-def sweep_w(streams, protos, grid, k_list=(1, 5), bucket_width: int = 50):
+def sweep_w(streams, protos, grid, k_list=K_LIST, bucket_width=BUCKET_WIDTH):
     """One weighted-max evaluation per grid value, over identical streams."""
     return _sweep_reports(streams, protos, "spc", "w", grid, k_list,
                           bucket_width)
 
 
-def sweep_ws(streams, protos, grid, k_list=(1, 5), bucket_width: int = 50):
+def sweep_ws(streams, protos, grid, k_list=K_LIST, bucket_width=BUCKET_WIDTH):
     """One linear-combination evaluation per grid value."""
     return _sweep_reports(streams, protos, "spc-sum", "w_s", grid, k_list,
                           bucket_width)

@@ -1,9 +1,9 @@
 """Independent brute-force scorer used as the ranking oracle.
 
 Iterates every stored (vector, class) pair and every prototype literally,
-takes the per-class max, applies the weighting rule, and sorts with the
-shared tie rule. Deliberately naive; kept independent of the engine's
-vectorized path.
+once per query, keeping each class's max dot, applies the weighting rule,
+and sorts with the shared tie rule. Deliberately naive; kept independent
+of the engine's vectorized path.
 """
 
 from __future__ import annotations
@@ -11,15 +11,15 @@ from __future__ import annotations
 import numpy as np
 
 
-def _class_sim(c, q, pairs):
-    """Literal per-class similarity: max dot over the class's vectors, 0 if absent."""
-    best = None
-    for vec, cc in pairs:
-        if cc == c:
-            d = float(np.dot(np.asarray(vec, dtype=np.float64), q))
-            if best is None or d > best:
-                best = d
-    return 0.0 if best is None else best
+def _class_sims(q, pairs):
+    """Literal per-class similarity: class -> max dot over the class's
+    vectors, in one pass over the pairs; a class absent here scores 0."""
+    best = {}
+    for vec, c in pairs:
+        d = float(np.dot(np.asarray(vec, dtype=np.float64), q))
+        if c not in best or d > best[c]:
+            best[c] = d
+    return best
 
 
 def brute_force_rank(query, user_pairs, proto_pairs, w=None, w_s=None):
@@ -34,10 +34,10 @@ def brute_force_rank(query, user_pairs, proto_pairs, w=None, w_s=None):
     protos = [(np.asarray(v, dtype=np.float64), c) for c, v in proto_pairs]
     user_classes = {c for _, c in user_pairs}
     candidates = user_classes | {c for _, c in protos}
+    user_sims, proto_sims = _class_sims(q, user_pairs), _class_sims(q, protos)
     scored = []
     for c in sorted(candidates):
-        su = _class_sim(c, q, user_pairs)
-        sm = _class_sim(c, q, protos)
+        su, sm = user_sims.get(c, 0.0), proto_sims.get(c, 0.0)
         if w is not None:
             # without any prototype set the score is the raw user similarity
             score = max(su, w * sm) if protos else su

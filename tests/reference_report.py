@@ -1,8 +1,9 @@
-"""Reference bucketing of per-record outcomes, kept as the plain per-t loop.
+"""Reference bucketing of per-user results, kept as the plain per-t loop.
 
-`bucket_report` aggregates the columns of per-user results; this loop walks
-per-record Outcome objects one t at a time instead, and the two must agree
-exactly. `mean_accuracy` is the per-t mean the report's buckets average.
+`bucket_report` aggregates whole columns of per-user results; this loop
+reads each user's record at one t at a time instead, and the two must
+agree exactly. `mean_accuracy` is the per-t mean the report's buckets
+average.
 """
 
 from __future__ import annotations
@@ -12,9 +13,14 @@ import numpy as np
 from spc import BucketReport, SpcError
 
 
-def views(results):
-    """Each user's Outcome views as a list, so dicts of results compare."""
-    return {user: list(result) for user, result in results.items()}
+def columns(results):
+    """Per user, the true classes, the upper-limit flags, the hits at each
+    k and the top-1 as lists, so dicts of results compare."""
+    return {user: (r.true_class.tolist(), r.in_initial.tolist(),
+                   r.in_union.tolist(), [(r.rank < k).tolist()
+                                         for k in r.k_list],
+                   None if r.predicted is None else r.predicted.tolist())
+            for user, r in results.items()}
 
 
 def mean_accuracy(results, t, k):
@@ -29,12 +35,12 @@ def mean_accuracy(results, t, k):
     return sum(hits) / len(hits)
 
 
-def reference_bucket_report(outcomes, bucket_width=50, k_list=(1, 5)):
-    if not outcomes or all(len(v) == 0 for v in outcomes.values()):
+def reference_bucket_report(results, bucket_width=50, k_list=(1, 5)):
+    if not results or all(len(r) == 0 for r in results.values()):
         raise SpcError("no outcomes to report")
     if bucket_width < 1:
         raise SpcError("bucket width must be >= 1")
-    lengths = {len(v) for v in outcomes.values() if v}
+    lengths = {len(r) for r in results.values() if len(r)}
     T = max(lengths)
     ragged = len(lengths) > 1
     buckets = [(lo, min(lo + bucket_width - 1, T))
@@ -52,17 +58,21 @@ def reference_bucket_report(outcomes, bucket_width=50, k_list=(1, 5)):
         pool_in = {k: [] for k in k_list}
         pool_out = {k: [] for k in k_list}
         for t in ts:
-            at_t = [o[t - 1] for o in outcomes.values() if t <= len(o)]
+            at_t = [r for r in results.values() if t <= len(r)]
             if not at_t:
                 continue
-            per_t_rates["init"].append(np.mean([o.in_initial for o in at_t]))
-            per_t_rates["union"].append(np.mean([o.in_union for o in at_t]))
+            i = t - 1
+            per_t_rates["init"].append(
+                np.mean([bool(r.in_initial[i]) for r in at_t]))
+            per_t_rates["union"].append(
+                np.mean([bool(r.in_union[i]) for r in at_t]))
             for k in k_list:
-                per_t_rates[k].append(np.mean([o.hits[k] for o in at_t]))
-            for o in at_t:
-                pool = pool_in if o.in_initial else pool_out
+                per_t_rates[k].append(
+                    np.mean([bool(r.rank[i] < k) for r in at_t]))
+            for r in at_t:
+                pool = pool_in if r.in_initial[i] else pool_out
                 for k in k_list:
-                    pool[k].append(o.hits[k])
+                    pool[k].append(bool(r.rank[i] < k))
         in_initial.append(float(np.mean(per_t_rates["init"])))
         in_union.append(float(np.mean(per_t_rates["union"])))
         for k in k_list:

@@ -15,7 +15,7 @@ from spc import (DotCounter, LabeledRecord, PrototypeSet, SpcConfig, Strategy,
                  select_classes, spc_rank, sweep_w, sweep_ws)
 
 from .oracle import brute_force_rank, ranked_pairs
-from .reference_report import views
+from .reference_report import columns
 
 W_GRID = [round(0.70 + 0.05 * i, 2) for i in range(7)]     # 0.70 .. 1.00
 WS_GRID = [round(0.1 * i, 1) for i in range(11)]           # 0.0 .. 1.0
@@ -127,7 +127,7 @@ def test_criterion_2_reduction_identities(bench):
              (protos, Strategy(kind="ncm-fixed"))),
         ]
         for (pa, sa), (pb, sb) in pairs:
-            assert views(run_streams(sub, pa, sa)) == views(
+            assert columns(run_streams(sub, pa, sa)) == columns(
                 run_streams(sub, pb, sb)), f"{sa.label()} != {sb.label()}"
         # the all-prototype linear combination ranks exactly like the
         # prototype-only classifier
@@ -153,7 +153,7 @@ def test_criterion_3_protocol_invariants(bench):
         for user_out in outcomes.values():
             for o in user_out:
                 assert not o.hits[1] or o.hits[5]
-                assert not o.in_initial or o.in_union
+            assert not (user_out.in_initial & ~user_out.in_union).any()
         from spc import bucket_report
         report = bucket_report(outcomes)
         for b in range(len(report.buckets)):

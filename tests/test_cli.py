@@ -220,6 +220,22 @@ class TestEvalCommand:
         assert err.startswith(f"spc: error: {path}:2: {field} must be")
         assert not report.exists()
 
+    @pytest.mark.parametrize("lineno", [1, 2])
+    def test_non_utf8_byte_fails_without_a_report(self, bench, capsys,
+                                                  lineno):
+        stream = bench / "stream.records"
+        lines = stream.read_bytes().split(b"\n")
+        lines[lineno - 1] = b"\xff" + lines[lineno - 1]
+        stream.write_bytes(b"\n".join(lines))
+        report = bench / "x.tsv"
+        code, _, err = run(
+            ["eval", "--strategy", "spc",
+             "--prototypes", str(bench / "common.protos"),
+             "--stream", str(stream), "--out", str(report)], capsys)
+        assert code == 1
+        assert err.startswith(f"spc: error: {stream}:{lineno}: malformed ")
+        assert not report.exists()
+
     def test_markdown_format(self, bench, capsys):
         report = bench / "spc.md"
         code, _, _ = run(
@@ -253,16 +269,22 @@ class TestSweepCommand:
         assert run(base + ["--w-grid", "0.8,0.9",
                            "--ws-grid", "0.1,0.2"], capsys)[0] == 2
 
-    @pytest.mark.parametrize("dim, grid", [(2, "0.8"), (None, "0.8,1.5")],
-                             ids=["dim-mismatch", "w-out-of-range"])
-    def test_data_error_exits_1_as_in_eval(self, bench, capsys, dim, grid):
+    # a header-only prototype file is an empty set of its dim
+    @pytest.mark.parametrize("dim, rows, grid",
+                             [(2, 1, "0.8"), (2, 0, "0.8"),
+                              (None, 1, "0.8,1.5")],
+                             ids=["dim-mismatch", "empty-set-dim-mismatch",
+                                  "w-out-of-range"])
+    def test_data_error_exits_1_as_in_eval(self, bench, capsys, dim, rows,
+                                           grid):
         protos = bench / "common.protos"
         if dim is not None:
             protos = bench / "other.protos"
             protos.write_text(
                 json.dumps({"format": "spc-prototypes", "version": 1,
                             "dim": dim}) + "\n"
-                + json.dumps({"label": "c", "vec": [0.6, 0.8]}) + "\n")
+                + (json.dumps({"label": "c", "vec": [0.6, 0.8]}) + "\n")
+                * rows)
         inputs = ["--prototypes", str(protos),
                   "--stream", str(bench / "stream.records")]
         code, _, err = run(["sweep", "--w-grid", grid, *inputs,

@@ -218,11 +218,11 @@ class TestLabeledRecord:
                           vec=normalize([1.0, 0.0]))
 
     @pytest.mark.parametrize("t, class_id, field", [
-        (2.5, 1, "record index t"), (1, 1.9, "class id"),
-        (2, np.float64(1.0), "class id"), (True, 1, "record index t"),
+        (2.5, 1, "t"), (1, 1.9, "class id"),
+        (2, np.float64(1.0), "class id"), (True, 1, "t"),
         (1, False, "class id")])
     def test_non_integer_rejected(self, t, class_id, field):
-        with pytest.raises(SpcError, match=f"{field} must be an integer"):
+        with pytest.raises(SpcError, match=f"^{field} must be an integer"):
             LabeledRecord(user="u", t=t, class_id=class_id,
                           vec=normalize([1.0, 0.0]))
 

@@ -369,6 +369,23 @@ def test_missing_key_is_a_malformed_line(tmp_path, kind, key):
         read(path)
 
 
+# a byte that is not UTF-8 in the header, the first body line or a later one
+@pytest.mark.parametrize("kind", READERS)
+@pytest.mark.parametrize("lineno", [1, 2, 3])
+def test_non_utf8_byte_is_malformed(tmp_path, kind, lineno):
+    read, header, good = READERS[kind]
+    lines = [json.dumps(x).encode() for x in (header, {**good, "label": "g"},
+                                              good)]
+    lines[lineno - 1] = lines[lineno - 1].replace(b'"', b'"\xff', 1)
+    path = tmp_path / "bad"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    what = "header" if lineno == 1 else "line"
+    with pytest.raises(FileFormatError, match=re.escape(
+            f"{path}:{lineno}: malformed {what}: 'utf-8' codec can't decode "
+            "byte 0xff")):
+        read(path)
+
+
 class TestReports:
     def table(self):
         return ReportTable(

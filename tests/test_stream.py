@@ -20,7 +20,7 @@ from spc import (BucketReport, DimensionMismatchError, DotCounter,
 
 from .oracle import brute_force_rank
 from .reference_means import reference_mean_replay
-from .reference_report import mean_accuracy, reference_bucket_report, views
+from .reference_report import columns, mean_accuracy, reference_bucket_report
 
 SMALL = dict(dim=16, num_common_classes=12, users=6, records_per_user=40,
              novel_classes_per_user=2, confusable_group_count=2, group_size=2,
@@ -59,9 +59,10 @@ class TestProtocol:
     def test_initial_and_union_flags(self):
         out = run_user_stream(self.records, self.protos,
                               Strategy(kind="spc", w=0.85))
-        assert [o.in_initial for o in out] == [True, False, False]
+        assert out.true_class.tolist() == [0, 1, 1]
+        assert out.in_initial.tolist() == [True, False, False]
         # class 1 first appears at t=2, so it joins the union at t=3
-        assert [o.in_union for o in out] == [True, False, True]
+        assert out.in_union.tolist() == [True, False, True]
 
     def test_cold_start_without_prototypes(self):
         out = list(run_user_stream(self.records, None,
@@ -115,6 +116,18 @@ class TestCheckOrder:
             run_user_stream(records, protos, Strategy(kind=kind))
         assert str(got.value) == message
 
+    @pytest.mark.parametrize("kind", ["spc", "spc-sum", "1nn", "1nn-star"])
+    def test_empty_prototype_set_of_another_dim(self, kind):
+        # 1nn-star does not score the set, so its dim does not matter
+        records = [rec("u", 1, 0, [1.0, 0.0])]
+        if kind == "1nn-star":
+            assert len(run_user_stream(records, PrototypeSet(8),
+                                       Strategy(kind=kind))) == 1
+            return
+        with pytest.raises(DimensionMismatchError,
+                           match=r"^stream dim 2 != prototype dim 8$"):
+            run_user_stream(records, PrototypeSet(8), Strategy(kind=kind))
+
 
 class TestInvariants:
     def test_hit1_implies_hit5(self, synth):
@@ -124,7 +137,7 @@ class TestInvariants:
             for user_out in outcomes.values():
                 for o in user_out:
                     assert not o.hits[1] or o.hits[5]
-                    assert not o.in_initial or o.in_union
+                assert not (user_out.in_initial & ~user_out.in_union).any()
 
     def test_dot_count_is_prototypes_plus_history(self, synth):
         streams, protos = synth
@@ -141,7 +154,7 @@ class TestInvariants:
         user = sorted(streams)[0]
         alone = run_user_stream(streams[user], protos, Strategy(kind="spc"))
         together = run_streams(streams, protos, Strategy(kind="spc"))
-        assert list(alone) == list(together[user])
+        assert columns({user: alone}) == columns({user: together[user]})
 
 
 class TestReductionIdentities:
@@ -150,7 +163,7 @@ class TestReductionIdentities:
     def assert_same(self, streams, protos_a, a, protos_b, b):
         out_a = run_streams(streams, protos_a, a)
         out_b = run_streams(streams, protos_b, b)
-        assert views(out_a) == views(out_b)
+        assert columns(out_a) == columns(out_b)
 
     def test_w_one_equals_plain_nearest_neighbor(self, synth):
         streams, protos = synth
@@ -203,7 +216,7 @@ class TestNcmIncrModes:
                            Strategy(kind="ncm-incr", mean_mode="full-history"))
         one = run_streams(streams, protos,
                           Strategy(kind="ncm-incr", mean_mode="mean-as-one"))
-        assert views(full) != views(one)
+        assert columns(full) != columns(one)
 
     def test_needs_prototypes(self, synth):
         streams, _ = synth
@@ -218,7 +231,7 @@ class TestMeanAccuracy:
 
     def test_matches_direct_average(self, synth):
         outcomes = self.outcomes(synth)
-        outs = views(outcomes).values()
+        outs = [list(result) for result in outcomes.values()]
         for t in (1, 7, 40):
             want = np.mean([o[t - 1].hits[1] for o in outs])
             assert mean_accuracy(outcomes, t, 1) == pytest.approx(want)
@@ -538,12 +551,15 @@ class TestEvaluatorDifferential:
         initial = (set(protos.class_ids.tolist()) if protos is not None
                    else set())
         seen = set()
-        for o, rec, ids, ids_oracle in zip(got, records, per_call, oracle):
+        assert got.true_class.tolist() == [rec.class_id for rec in records]
+        for o, rec, ids, ids_oracle, in_initial, in_union in zip(
+                got, records, per_call, oracle, got.in_initial.tolist(),
+                got.in_union.tolist()):
             assert ids == ids_oracle
             assert o.predicted == (ids[0] if ids else None)
             assert o.hits == {k: rec.class_id in ids[:k] for k in (1, 5)}
-            assert o.in_initial == (rec.class_id in initial)
-            assert o.in_union == (rec.class_id in initial | seen)
+            assert in_initial == (rec.class_id in initial)
+            assert in_union == (rec.class_id in initial | seen)
             seen.add(rec.class_id)
 
     def test_nan_record_rejected(self):
@@ -709,15 +725,15 @@ class TestBucketReportMatchesReference:
                              Strategy(kind=kind), k_list=(1, 2, 5))
         for outs, k_list in ((outcomes, (1, 5)), (ragged, (1, 2, 5))):
             got = bucket_report(outs, bucket_width=width, k_list=k_list)
-            want = reference_bucket_report(views(outs), bucket_width=width,
+            want = reference_bucket_report(outs, bucket_width=width,
                                            k_list=k_list)
             for f in dataclasses.fields(BucketReport):
                 assert getattr(got, f.name) == getattr(want, f.name), f.name
 
 
 class TestColumnarResults:
-    """evaluate, the sweep path and the per-record Outcome view report the
-    same thing."""
+    """evaluate, the sweep path, the per-t reference report and iteration
+    report the same thing."""
 
     @pytest.fixture(scope="class")
     def ragged(self, synth):
@@ -739,7 +755,7 @@ class TestColumnarResults:
         assert report.ragged
         swept = stream_module._sweep(streams, protos, [strategy], k_list)
         assert report == bucket_report(swept[0], width, k_list)
-        outs = views(run_streams(streams, protos, strategy, k_list))
+        outs = run_streams(streams, protos, strategy, k_list)
         assert report == reference_bucket_report(outs, width, k_list)
 
     @pytest.mark.parametrize("strategy", list(STRATEGIES.values()),
@@ -751,17 +767,16 @@ class TestColumnarResults:
                                  k_list=(1, 3))
         outs = list(result)
         assert len(outs) == len(result) == len(streams[user])
-        for o, rec, pos, top in zip(outs, streams[user], result.rank,
-                                    result.predicted):
-            assert (o.user, o.t, o.true_class) == (rec.user, rec.t,
-                                                   rec.class_id)
+        assert result.true_class.tolist() == [rec.class_id
+                                              for rec in streams[user]]
+        for o, pos, top in zip(outs, result.rank, result.predicted):
             assert o.predicted == (None if top < 0 else top)
             assert o.hits == {1: pos < 1, 3: pos < 3}
 
     @pytest.mark.parametrize("strategy", list(STRATEGIES.values()),
                              ids=list(STRATEGIES))
     def test_sweep_results_give_outcome_views(self, ragged, strategy):
-        # a sweep skips the top-1, so its views hold no prediction
+        # a sweep skips the top-1, so its Outcomes hold no prediction
         streams, protos = ragged
         swept = stream_module._sweep(streams, protos, [strategy], (1, 3))[0]
         for user, records in streams.items():
