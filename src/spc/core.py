@@ -108,6 +108,53 @@ def non_unit_rows(matrix: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))
 
 
+def note_repeats(first: dict, matrix, start: int = 0,
+                 before=None) -> tuple[list, list]:
+    """Enter matrix's rows from row start on into first, which maps a
+    vector's key to the first position holding it. Positions count the
+    rows of before, entered already, then matrix's. Returns the positions
+    that repeat an earlier vector and the positions they repeat.
+
+    A vector's key is its first component, or, where a different vector
+    holds that, the hash of its bytes in a 1-tuple; a hash that a different
+    vector holds tries the next one. So first keeps no copy of a vector.
+    Vectors are equal when their values are, as np.array_equal has it, so
+    0.0 and -0.0 match: the bytes hashed are those of the row plus 0.0,
+    which is 0.0 wherever the row holds -0.0."""
+    n_before = len(before) if before is not None else 0
+    pos, src = [], []
+    for i in range(start, len(matrix)):
+        p = n_before + i
+        key = matrix.item(i, 0)
+        while (j := first.setdefault(key, p)) != p:
+            row = matrix[i]
+            if np.array_equal(before[j] if j < n_before
+                              else matrix[j - n_before], row):
+                pos.append(p)
+                src.append(j)
+                break
+            key = (key[0] + 1 if isinstance(key, tuple)
+                   else hash((row + 0.0).tobytes()),)
+    return pos, src
+
+
+def repeated_rows(matrices) -> tuple[np.ndarray, np.ndarray]:
+    """note_repeats over the rows of matrices, stacked in order, from an
+    empty map, as two index arrays. Only rows whose first component
+    another row shares are compared in full, and only those are copied."""
+    keys = np.concatenate([m[:, 0] for m in matrices])
+    order = keys.argsort()
+    same = keys[order[1:]] == keys[order[:-1]]
+    if not same.any():
+        return order[:0], order[:0]
+    shared = np.union1d(order[1:][same], order[:-1][same])
+    starts = np.cumsum([0] + [len(m) for m in matrices])
+    rows = [m[shared[(shared >= a) & (shared < b)] - a]
+            for m, a, b in zip(matrices, starts, starts[1:])]
+    pos, src = note_repeats({}, np.concatenate(rows))
+    return shared[pos], shared[src]
+
+
 def stack_records(records, dim: int, dtype=np.float64) -> np.ndarray:
     """The records' vectors as one (len(records), dim) matrix of dtype,
     once every row is checked to be unit within UNIT_NORM_TOL. The error
@@ -209,12 +256,14 @@ class UserStore:
     def layout(self, protos: PrototypeSet | None) -> ClassLayout:
         """The class layout of this store against protos: the one of the
         last call while protos is the same object, extended by the
-        classes that arrived since."""
+        classes and rows that arrived since."""
         layout = self._layout
         if layout is None or layout.protos is not protos:
             layout = self._layout = ClassLayout(protos, self._slot_of)
         elif len(self._slot_of) > len(layout.slot_pos):
             layout.extend(self._slot_of)
+        if self._n > layout.n_rows:
+            layout.add_rows(self._vecs, self._n)
         return layout
 
 
@@ -223,7 +272,9 @@ class PrototypeSet:
 
     `counts` optionally records how many training samples produced each
     prototype; mean-update baselines need it for full-history seeding.
-    `row_of` maps each class id to its row.
+    `row_of` maps each class id to its row; `first_row` is note_repeats'
+    map of the rows, and `repeats` holds the rows that repeat an earlier
+    one and the rows they repeat.
     """
 
     def __init__(self, dim: int, class_ids=(), vectors=None, counts=None) -> None:
@@ -249,6 +300,8 @@ class PrototypeSet:
         self.class_ids = ids
         self.matrix = vecs
         self.matrix64 = matrix64
+        self.first_row: dict[object, int] = {}
+        self.repeats = note_repeats(self.first_row, matrix64)
         self.counts: dict[int, int] | None = counts or None
 
     def __len__(self) -> int:
@@ -267,8 +320,14 @@ class ClassLayout:
                  a stable ascending sort in this order, read backwards;
       tie_ids    ids[tie_order].
 
+    Each vector also has a position: the prototype rows first, then the
+    store's rows. dup_pos holds the positions whose vector repeats one at
+    an earlier position, dup_src those earlier positions: a matrix product
+    may round one vector's dot differently by its row, and equal vectors
+    must tie.
+
     A layout only grows: extend lays out the classes that are new since it
-    last ran, so a class costs layout work once.
+    last ran, and add_rows the rows, so each costs layout work once.
     """
 
     def __init__(self, protos: PrototypeSet | None, slot_of=()) -> None:
@@ -277,6 +336,33 @@ class ClassLayout:
                     else np.empty(0, dtype=np.int64))
         self.slot_pos = np.empty(0, dtype=np.intp)
         self.extend(slot_of)
+        pos, src = protos.repeats if protos is not None else ([], [])
+        self.dup_pos = np.array(pos, dtype=np.intp)
+        self.dup_src = np.array(src, dtype=np.intp)
+        self._first: dict | None = None
+        self.n_proto = len(protos) if protos is not None else 0
+        self.n_rows = 0
+
+    def add_rows(self, vectors, n: int) -> None:
+        """Note which of a store's rows vectors[:n] past those already
+        noted repeat an earlier vector."""
+        start, self.n_rows = self.n_rows, n
+        p = self.n_proto + start
+        first = self._first
+        # the usual call: one new row, whose first component is new
+        if (n == start + 1 and first is not None
+                and first.setdefault(vectors.item(start, 0), p) == p):
+            return
+        if first is None:
+            # copied at the first rows, so a store-less ranking copies none
+            first = self._first = (dict(self.protos.first_row)
+                                   if self.protos is not None else {})
+        pos, src = note_repeats(
+            first, vectors[:n], start,
+            self.protos.matrix64 if self.protos is not None else None)
+        if pos:
+            self.dup_pos = np.concatenate((self.dup_pos, pos))
+            self.dup_src = np.concatenate((self.dup_src, src))
 
     def extend(self, slot_of) -> None:
         """Lay out a store's classes (the class ids of its slots, in slot

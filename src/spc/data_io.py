@@ -3,15 +3,15 @@ tables. Every file starts with a JSON header line carrying the format name,
 a version, and the embedding dimension, so readers can fail fast. Field
 rules live in core; the one read loop adds path:line to what a line breaks.
 
-Vector components are float32 values, each written as `"%.9g" % x`
-(exactly zero as `repr(x)`, so -0.0 keeps its sign). That is exact: nine
-significant digits lie within 5e-9 relative of x, and half a float32 ulp
-is at least 2**-25 (about 3e-8) relative, so parsing to float64 and
-rounding to float32 gives back x bit for bit.
+Version 2 writes each vector as a base64 string of its little-endian
+float32 bytes: the bytes are the value, so a round trip is bit-exact on
+any host, but vectors are no longer readable as text. Version 1 files,
+whose vectors are JSON lists of numbers, still read.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass, field
 
@@ -22,7 +22,7 @@ from .core import (LabeledRecord, LabelRegistry, PrototypeSet, SpcError,
 
 RECORDS_FORMAT = "spc-records"
 PROTOS_FORMAT = "spc-prototypes"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class FileFormatError(SpcError):
@@ -33,11 +33,17 @@ def _dump(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _dump_with_vec(fields: dict, vec: np.ndarray) -> str:
-    """`_dump(fields)` with a last key "vec" holding a float32 vector."""
-    # not %#.9g: it writes 331719808. which is not JSON
-    parts = ["%.9g" % x if x else repr(x) for x in vec.tolist()]
-    return _dump(fields)[:-1] + ',"vec":[' + ",".join(parts) + "]}"
+def _load_vec(value, version: int) -> np.ndarray:
+    """A line's "vec" as float32: a JSON list in a version 1 file, base64 of
+    little-endian float32 bytes in a version 2 file."""
+    if isinstance(value, str) != (version == 2):
+        raise ValueError(f"vec must be a {('list', 'string')[version - 1]} "
+                         f"in a version {version} file")
+    if version == 1:
+        return np.asarray(value, dtype=np.float32)
+    # frombuffer's array is read-only: astype makes a native, writable copy
+    return np.frombuffer(base64.b64decode(value, validate=True),
+                         "<f4").astype(np.float32)
 
 
 class _Fields(dict):
@@ -53,7 +59,7 @@ def _check_header(line: bytes, expected_format: str) -> dict:
         raise SpcError(f"malformed header: {e}") from None
     if fmt != expected_format:
         raise SpcError(f"expected format {expected_format!r}, got {fmt!r}")
-    if check_int(header.get("version"), "version", 1) != FORMAT_VERSION:
+    if check_int(header.get("version"), "version", 1) not in (1, 2):
         raise SpcError(f"unsupported version {header['version']!r}")
     check_int(header.get("dim"), "dim", 1)
     if not isinstance(header.setdefault("normalize", False), bool):
@@ -77,8 +83,8 @@ def _read_lines(path, expected_format: str, read_line) -> dict:
                     if not line.strip():
                         continue
                     obj = decode(line)
-                    vec = np.asarray(obj["vec"], dtype=np.float32)
-                except (TypeError, ValueError) as e:  # bad UTF-8 or JSON
+                    vec = _load_vec(obj["vec"], header["version"])
+                except (TypeError, ValueError) as e:  # bad UTF-8, JSON, vec
                     raise SpcError(f"malformed line: {e}") from None
                 read_line(header, obj, vec)
         except SpcError as e:
@@ -103,7 +109,8 @@ def _write_lines(path, fmt: str, header: dict, rows) -> None:
         f.write(_dump({"format": fmt, "version": FORMAT_VERSION, **header})
                 + "\n")
         for fields, vec in rows:
-            f.write(_dump_with_vec(fields, vec) + "\n")
+            vec = base64.b64encode(vec.astype("<f4").tobytes()).decode()
+            f.write(_dump({**fields, "vec": vec}) + "\n")
 
 
 def write_records(records, path, registry: LabelRegistry | None = None,

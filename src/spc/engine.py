@@ -114,17 +114,25 @@ def spc_rank(query, store: UserStore | None, protos: PrototypeSet | None,
 
     layout = (store.layout(protos) if store is not None
               else ClassLayout(protos))
+    du = store.vectors64 @ q if n_user else None
+    dm = protos.matrix64 @ q if n_proto else None
+    if len(layout.dup_pos):
+        # a repeated vector takes the dot of its first position, the
+        # prototype rows first, so equal vectors tie
+        dots = np.concatenate([d for d in (dm, du) if d is not None])
+        dots[layout.dup_pos] = dots[layout.dup_src]
+        dm, du = dots[:n_proto], dots[n_proto:]
     n = len(layout.ids)
     su = np.zeros(n)
     if n_user:
         # every dot is finite (unit vectors are checked), and every slot
         # holds a vector, so no -inf is left
         best = np.full(len(layout.slot_pos), -np.inf)
-        np.maximum.at(best, store.slots, store.vectors64 @ q)
+        np.maximum.at(best, store.slots, du)
         su[layout.slot_pos] = best
     sm = np.zeros(n)
     if n_proto:
-        sm[:n_proto] = protos.matrix64 @ q
+        sm[:n_proto] = dm
     score = cfg.combine(su, sm, n_proto > 0)
     score = score[layout.tie_order]
     order = score.argsort(kind="stable")[::-1]

@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import (DimensionMismatchError, LabeledRecord, PrototypeSet,
-                   SpcError, stack_records)
+                   SpcError, repeated_rows, stack_records)
 from .data_io import ReportTable
 from .engine import DotCounter, SpcConfig, SumConfig
 
@@ -127,13 +127,25 @@ class UserResult:
 GRAM_BLOCK = 128
 
 
-def _prefix_max(queries, rows, b0, su) -> None:
+def _prefix_max(queries, rows, b0, su, copies, proto_dots) -> None:
     """su[c, t - b0] = max of queries[j] . queries[t] over j < t of class
     row c, for the steps t of su's column block; entries with no such j
     are left as they are. One flat maximum.at into su, which must be
-    C-contiguous, reduces the Gram columns, masked at j >= t, per class."""
+    C-contiguous, reduces the Gram columns, masked at j >= t, per class.
+
+    copies pairs the query rows that repeat an earlier query's vector
+    with those queries, then the rows that repeat a prototype's vector
+    with the prototype rows of proto_dots; each such row takes the dots
+    of its first copy, so equal vectors tie."""
     n = su.shape[1]
     gram = queries[:b0 + n] @ queries[b0:b0 + n].T
+    (pos, src), (p_pos, p_src) = copies
+    if len(pos):
+        k = np.searchsorted(pos, b0 + n)
+        gram[pos[:k]] = gram[src[:k]]
+    if len(p_pos):
+        k = np.searchsorted(p_pos, b0 + n)
+        gram[p_pos[:k]] = proto_dots[p_src[:k], b0:b0 + n]
     gram[b0:][np.tri(n, dtype=bool)] = -np.inf
     idx = rows[:b0 + n, None] * n + np.arange(n)
     np.maximum.at(su.reshape(-1), idx.ravel(), gram.ravel())
@@ -281,8 +293,21 @@ def _replay(records, protos, strategies, k_list, counter=None,
                 versions, latest = _mean_versions(
                     queries[:seen], ids, rows[:seen], proto_rows, protos,
                     strategies[0].mean_mode)
-            elif use_protos:
-                proto_dots = protos.matrix64 @ queries.T
+            else:
+                # a repeated vector takes the dots of its first row, the
+                # prototype rows first: a product may round one vector's
+                # dot by its row, and equal vectors must tie
+                pos, src = repeated_rows(
+                    (protos.matrix64 if use_protos else queries[:0],
+                     queries))
+                proto, from_proto = pos < P, src < P
+                proto_dots = None
+                if use_protos:
+                    proto_dots = protos.matrix64 @ queries.T
+                    proto_dots[pos[proto]] = proto_dots[src[proto]]
+                copies = ((pos[~from_proto] - P, src[~from_proto] - P),
+                          (pos[from_proto & ~proto] - P,
+                           src[from_proto & ~proto]))
             in_proto = np.zeros(U, dtype=bool)
             in_proto[proto_rows] = True
             row_ids = np.arange(U)[:, None]
@@ -314,7 +339,8 @@ def _replay(records, protos, strategies, k_list, counter=None,
                 present = np.zeros((U, n), dtype=bool)
                 if not means:
                     if learn:
-                        _prefix_max(queries, rows, b0, su)
+                        _prefix_max(queries, rows, b0, su, copies,
+                                    proto_dots)
                     present = su > -np.inf
                     su[~present] = 0.0
                     cand = present | cand

@@ -3,8 +3,9 @@
 
 Its per-class arrays are indexed by class id, sized by the largest id in
 the store and the prototype set, and rebuilt on every call. It makes the
-same two matrix products as `spc_rank`, so the two must return the same
-Ranking bit for bit.
+same two matrix products as `spc_rank`, and gives each repeated vector the
+dot of its first row (prototype rows first, then the store's), so the two
+must return the same Ranking bit for bit.
 """
 
 from __future__ import annotations
@@ -13,6 +14,14 @@ import numpy as np
 
 from spc import DimensionMismatchError, Ranking, SpcError
 from spc.core import check_unit
+
+
+def _first_row_dots(rows, dots, first):
+    """dots with each row that repeats a vector in first (bytes -> dot)
+    given that dot; new vectors are entered with their own. Rows are
+    equal by value: the bytes are the row's plus 0.0, so -0.0 is 0.0."""
+    return np.array([first.setdefault((row + 0.0).tobytes(), d)
+                     for row, d in zip(rows, dots.tolist())])
 
 
 def _gather_scores(query, store, protos):
@@ -35,18 +44,21 @@ def _gather_scores(query, store, protos):
     size = 1 + max(int(store.classes.max()) if n_user else -1,
                    int(protos.class_ids.max()) if n_proto else -1)
 
+    first = {}
+    sm = np.zeros(size)
+    in_proto = np.zeros(size, dtype=bool)
+    if n_proto:
+        sm[protos.class_ids] = _first_row_dots(
+            protos.matrix64, protos.matrix64 @ q, first)
+        in_proto[protos.class_ids] = True
     # every dot is finite (unit vectors are checked), so -inf marks the
     # classes with no user vector
     su = np.full(size, -np.inf)
     if n_user:
-        np.maximum.at(su, store.classes, store.vectors64 @ q)
+        np.maximum.at(su, store.classes, _first_row_dots(
+            store.vectors64, store.vectors64 @ q, first))
     in_user = su > -np.inf
     su[~in_user] = 0.0
-    sm = np.zeros(size)
-    in_proto = np.zeros(size, dtype=bool)
-    if n_proto:
-        sm[protos.class_ids] = protos.matrix64 @ q
-        in_proto[protos.class_ids] = True
 
     cand = np.flatnonzero(in_user | in_proto)
     return cand, su[cand], sm[cand], in_user[cand], n_proto > 0

@@ -1,11 +1,14 @@
+import base64
 import json
 from dataclasses import asdict, replace
 
+import numpy as np
 import pytest
 
 from spc import (SubsetSpec, SynthConfig, TrainIndex, build_prototypes, cli,
                  cross_validate_w, evaluate, generate_synthetic, group_by_user,
-                 render_report, select_classes, sweep_table, sweep_w)
+                 read_records, render_report, select_classes, sweep_table,
+                 sweep_w)
 
 
 def run(argv, capsys):
@@ -77,6 +80,25 @@ class TestSynthCommand:
             assert run(SYNTH_ARGS + ["--out-dir", str(out)], capsys)[0] == 0
         for name in ("train.records", "stream.records", "manifest.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_record_files_read_back_bit_for_bit(self, tmp_path, capsys):
+        out = tmp_path / "b"
+        assert run(SYNTH_ARGS + ["--out-dir", str(out)], capsys)[0] == 0
+        cfg = SynthConfig(**json.loads(
+            (out / "manifest.json").read_text())["config"])
+        train, streams, registry, _ = generate_synthetic(cfg)
+        for name, want in (("train.records", train),
+                           ("stream.records", streams)):
+            path = out / name
+            header = json.loads(path.read_text().splitlines()[0])
+            assert header["version"] == 2
+            got, got_registry = read_records(path)
+            assert [(r.user, r.t, got_registry.resolve(r.class_id))
+                    for r in got] == \
+                [(r.user, r.t, registry.resolve(r.class_id)) for r in want]
+            np.testing.assert_array_equal(
+                np.stack([r.vec for r in got]).view(np.uint32),
+                np.stack([r.vec for r in want]).view(np.uint32))
 
     @pytest.mark.parametrize("flags, fields", [
         (["--users", "2", "--records", "5"],
@@ -186,17 +208,18 @@ class TestEvalCommand:
         lines = stream.read_text().splitlines()
         dim = json.loads(lines[0])["dim"]
         rec = json.loads(lines[5])
-        rec["vec"] = [float("nan")] * dim
+        rec["vec"] = base64.b64encode(
+            np.full(dim, np.nan, "<f4").tobytes()).decode()
         lines[5] = json.dumps(rec)
         stream.write_text("\n".join(lines) + "\n")
-        assert '"vec": [NaN, NaN' in lines[5]
         report = bench / "x.tsv"
         code, _, err = run(
             ["eval", "--strategy", "spc",
              "--prototypes", str(bench / "common.protos"),
              "--stream", str(stream), "--out", str(report)], capsys)
-        assert code != 0
-        assert err.startswith("spc: error:") and ":6:" in err
+        assert code == 1
+        assert err.startswith(
+            f"spc: error: {stream}:6: vector norm nan is not 1 within")
         assert not report.exists()
 
     @pytest.mark.parametrize("name,field,value",

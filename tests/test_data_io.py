@@ -1,16 +1,17 @@
+import base64
 import json
 import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spc import (FileFormatError, LabeledRecord, LabelRegistry, PrototypeSet,
                  ReportTable, SpcError, normalize, read_prototypes, read_records,
                  render_report, write_manifest, write_prototypes,
                  write_records, write_report)
-from spc.data_io import _dump_with_vec
+from spc.data_io import _read_lines, _write_lines
 
 
 def make_records(n, dim=4, seed=0):
@@ -21,6 +22,16 @@ def make_records(n, dim=4, seed=0):
                           vec=normalize(rng.standard_normal(dim)))
             for i in range(n)]
     return recs, reg
+
+
+def b64(values) -> str:
+    """A vector as a version 2 line spells it."""
+    return base64.b64encode(np.asarray(values, "<f4").tobytes()).decode()
+
+
+def assert_same_bits(a, b):
+    np.testing.assert_array_equal(np.asarray(a, np.float32).view(np.uint32),
+                                  np.asarray(b, np.float32).view(np.uint32))
 
 
 class TestRecordsRoundTrip:
@@ -45,26 +56,33 @@ class TestRecordsRoundTrip:
                                       vec.view(np.uint32))
 
     def test_files_in_the_earlier_format_read_the_same(self, tmp_path):
-        """Lines that wrote each component as the shortest repr of its
-        float64 value read back to the bits the current writer's do."""
+        """Version 1 files, whose vectors are JSON lists, read back to the
+        records of the version 2 file the writer makes of the same data, in
+        both spellings of a component that version 1 files hold."""
         recs, reg = make_records(6, dim=16)
         recs.append(LabeledRecord("u0", 9, 0, np.array(
             [0.6, -0.0, 1e-45, 0.8] + [0.0] * 12, dtype=np.float32)))
         new, old = tmp_path / "new.records", tmp_path / "old.records"
         write_records(recs, new, registry=reg)
+        assert json.loads(new.read_text().splitlines()[0])["version"] == 2
+        got_new, reg_new = read_records(new)
         header = {"format": "spc-records", "version": 1, "dim": 16,
                   "normalize": False}
-        old.write_text("\n".join(
-            [json.dumps(header)]
-            + [json.dumps({"user": r.user, "t": r.t,
-                           "label": reg.resolve(r.class_id),
-                           "vec": [float(x) for x in r.vec]},
-                          separators=(",", ":"))
-               for r in recs]) + "\n")
-        assert old.read_text() != new.read_text()
-        for a, b in zip(read_records(new)[0], read_records(old)[0]):
-            np.testing.assert_array_equal(a.vec.view(np.uint32),
-                                          b.vec.view(np.uint32))
+        for spell in (lambda x: "%.9g" % x if x else repr(x),  # keeps -0.0
+                      repr):  # the shortest repr of the float64 value
+            old.write_text("\n".join(
+                [json.dumps(header)]
+                + [json.dumps({"user": r.user, "t": r.t,
+                               "label": reg.resolve(r.class_id)},
+                              separators=(",", ":"))[:-1]
+                   + ',"vec":[' + ",".join(map(spell, r.vec.tolist())) + "]}"
+                   for r in recs]) + "\n")
+            got_old, reg_old = read_records(old)
+            assert len(got_new) == len(got_old) == len(recs)
+            for a, b in zip(got_new, got_old):
+                assert (a.user, a.t, reg_new.resolve(a.class_id)) == \
+                    (b.user, b.t, reg_old.resolve(b.class_id))
+                assert_same_bits(a.vec, b.vec)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
                                      float("-inf")])
@@ -195,9 +213,10 @@ class TestRecordsRoundTrip:
 
     def test_unsupported_version_rejected(self, tmp_path):
         path = tmp_path / "a.records"
-        path.write_text(json.dumps({"format": "spc-records", "version": 99,
+        path.write_text(json.dumps({"format": "spc-records", "version": 3,
                                     "dim": 2}) + "\n")
-        with pytest.raises(FileFormatError, match=":1:"):
+        with pytest.raises(FileFormatError, match=re.escape(
+                f"{path}:1: unsupported version 3")):
             read_records(path)
 
     @pytest.mark.parametrize("field,value", [
@@ -304,25 +323,45 @@ SIGN_BIT = 0x80000000
 @example(bits=[FLT_MAX_BITS, SIGN_BIT | FLT_MAX_BITS])
 @example(bits=[int(np.float32(331719808.0).view(np.uint32))])
 @settings(max_examples=300, deadline=None)
-def test_vector_format_is_bit_exact_for_finite_float32(bits):
+def test_vector_format_is_bit_exact_for_finite_float32(tmp_path_factory,
+                                                       bits):
+    """Any finite float32 vector survives the line writer and reader that
+    both file kinds share. The unit vector made of its values of magnitude
+    below 1/8 (at most 64 of them, so their squares sum to at most 1) and
+    one completing component survives each kind's public writer and
+    reader."""
     vec = np.array(bits, dtype=np.uint32).view(np.float32)
     vec = vec[np.isfinite(vec)]
-    line = _dump_with_vec({"label": "c"}, vec)
-    obj = json.loads(line)
-    assert list(obj) == ["label", "vec"]
-    back = np.asarray(obj["vec"], dtype=np.float32)
-    np.testing.assert_array_equal(back.view(np.uint32), vec.view(np.uint32))
+    assume(vec.size)
+    path = tmp_path_factory.getbasetemp() / "bit-exact"
+    _write_lines(path, "spc-prototypes", {"dim": vec.size},
+                 [({"label": "c"}, vec)])
+    back = []
+    _read_lines(path, "spc-prototypes",
+                lambda header, obj, v: back.append((list(obj), v)))
+    assert back[0][0] == ["label", "vec"]
+    assert_same_bits(back[0][1], vec)
+
+    small = vec[np.abs(vec) < 0.125]
+    rest = 1.0 - np.dot(small.astype(np.float64), small.astype(np.float64))
+    unit = np.append(small, np.float32(np.sqrt(rest)))
+    write_records([LabeledRecord("u", 1, 0, unit)], path)
+    assert_same_bits(read_records(path)[0][0].vec, unit)
+    write_prototypes(PrototypeSet(unit.size, [0], unit[None, :]), path)
+    assert_same_bits(read_prototypes(path)[0].matrix[0], unit)
 
 
-# per kind: the reader, a header and a good line
-READERS = {
-    "records": (read_records, {"format": "spc-records", "version": 1,
-                               "dim": 2},
-                {"user": "u", "t": 1, "label": "c", "vec": [0.6, 0.8]}),
-    "prototypes": (read_prototypes, {"format": "spc-prototypes",
-                                     "version": 1, "dim": 2},
-                   {"label": "c", "count": 3, "vec": [0.6, 0.8]}),
-}
+LINES = {"records": (read_records, "spc-records",
+                     {"user": "u", "t": 1, "label": "c"}),
+         "prototypes": (read_prototypes, "spc-prototypes",
+                        {"label": "c", "count": 3})}
+# per kind: the reader, a header and a good line, as a version 1 file and,
+# under "<kind>-v2", as a version 2 file
+READERS = {kind + suffix: (read, {"format": fmt, "version": version,
+                                  "dim": 2}, {**fields, "vec": vec})
+           for kind, (read, fmt, fields) in LINES.items()
+           for suffix, version, vec in (("", 1, [0.6, 0.8]),
+                                        ("-v2", 2, b64([0.6, 0.8])))}
 BAD_FIELDS = [
     ("records", "t", "x"), ("records", "t", 0), ("records", "t", 1.7),
     ("records", "t", True), ("records", "label", 5), ("records", "label", ""),
@@ -334,12 +373,16 @@ BAD_FIELDS = [
 ]
 
 
-# each case as line 2, then as line 3 after one good line
+# each case as line 2, then as line 3 after one good line, in both versions
+BAD_FIELD_CASES = [(kind + suffix, field, value, lineno)
+                   for suffix in ("", "-v2") for lineno in (2, 3)
+                   for kind, field, value in BAD_FIELDS]
+
+
 @pytest.mark.parametrize(
-    "kind,field,value,lineno",
-    [case + (lineno,) for lineno in (2, 3) for case in BAD_FIELDS],
+    "kind,field,value,lineno", BAD_FIELD_CASES,
     ids=[f"{k}-{f}={v!r}" + ("" if lineno == 2 else "-after-a-good-line")
-         for lineno in (2, 3) for k, f, v in BAD_FIELDS])
+         for k, f, v, lineno in BAD_FIELD_CASES])
 def test_bad_field_fails_with_line_number(tmp_path, kind, field, value,
                                           lineno):
     read, header, good = READERS[kind]
@@ -357,7 +400,9 @@ MISSING_KEYS = [("records", "user"), ("records", "t"), ("records", "label"),
                 ("prototypes", "vec")]
 
 
-@pytest.mark.parametrize("kind,key", MISSING_KEYS)
+@pytest.mark.parametrize("kind,key", [
+    (kind + suffix, key) for suffix in ("", "-v2")
+    for kind, key in MISSING_KEYS])
 def test_missing_key_is_a_malformed_line(tmp_path, kind, key):
     read, header, good = READERS[kind]
     bad = {k: v for k, v in good.items() if k != key}
@@ -383,6 +428,36 @@ def test_non_utf8_byte_is_malformed(tmp_path, kind, lineno):
     with pytest.raises(FileFormatError, match=re.escape(
             f"{path}:{lineno}: malformed {what}: 'utf-8' codec can't decode "
             "byte 0xff")):
+        read(path)
+
+
+# a bad vec as line 3, after one good line: (version, vec, message)
+BAD_VECS = [
+    (2, "@@", "malformed line: Only base64 data is allowed"),
+    (2, "QUI", "malformed line: Incorrect padding"),
+    (2, "AAAAAAAA", "malformed line: "),  # 6 bytes, 1.5 float32 values
+    (2, b64([0.6, 0.8, 0.0]), "vec length 3 does not match dim 2"),
+    (2, [0.6, 0.8], "malformed line: vec must be a string in a version 2 "
+                    "file"),
+    (1, b64([0.6, 0.8]), "malformed line: vec must be a list in a version "
+                         "1 file"),
+    (2, b64([float("nan")] * 2), "vector norm nan is not 1 within 1e-06"),
+]
+
+
+@pytest.mark.parametrize("kind", LINES)
+@pytest.mark.parametrize(
+    "version,vec,message", BAD_VECS,
+    ids=["bad-alphabet", "bad-padding", "6-bytes", "3-floats-at-dim-2",
+         "list-in-v2", "string-in-v1", "nan-bits"])
+def test_bad_vec_fails_with_line_number(tmp_path, kind, version, vec,
+                                        message):
+    read, header, good = READERS[kind + ("-v2" if version == 2 else "")]
+    path = tmp_path / "bad"
+    path.write_text("\n".join(json.dumps(x) for x in (
+        header, {**good, "label": "g"}, {**good, "vec": vec})) + "\n")
+    with pytest.raises(FileFormatError,
+                       match=re.escape(f"{path}:3: {message}")):
         read(path)
 
 

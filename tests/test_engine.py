@@ -274,6 +274,78 @@ class TestClassLayout:
             assert sorted(r.class_ids.tolist()) == [0, 2_000_000]
 
 
+class TestRepeatedVectors:
+    """One vector held at many rows, in the store and in the prototype set,
+    gets one dot wherever its row falls in the matrix products, so its
+    classes tie and the tie rule orders them, as in the oracle."""
+
+    @pytest.mark.parametrize("dim", range(2, 10))
+    def test_copies_tie(self, dim):
+        # a BLAS matrix-vector product may round a row's dot by the row's
+        # place (seen at dim 8 with 3 rows), so many draws are made
+        rng = np.random.default_rng(dim)
+        for _ in range(100):
+            v, q = (normalize(rng.standard_normal(dim)) for _ in range(2))
+            # a positive dot, so no class's absent side outscores it
+            v = v if np.dot(v, q) > 0 else -v
+            n_user, n_proto = (int(k) for k in rng.integers(1, 9, 2))
+            protos = PrototypeSet(dim, class_ids=range(n_proto),
+                                  vectors=np.tile(v, (n_proto, 1)))
+            # user classes in falling id order, then prototype-only ones;
+            # grown is ranked after each append, so its layout notes one
+            # new row per call
+            store, grown = UserStore(dim), UserStore(dim)
+            for c in range(n_user + 5, 5, -1):
+                store.append(v, c)
+                grown.append(v, c)
+                spc_rank(q, grown, protos, SpcConfig(1.0))
+            user_pairs = list(zip(store.vectors64, store.classes.tolist()))
+            proto_pairs = list(zip(range(n_proto), protos.matrix))
+            for scored, pairs in ((protos, proto_pairs), (None, [])):
+                want = brute_force_rank(q, user_pairs, pairs, w=1.0)
+                for ranked in (store, grown):
+                    got = spc_rank(q, ranked, scored, SpcConfig(1.0))
+                    assert got.class_ids.tolist() == [c for c, _ in want]
+                    assert len(set(got.scores.tolist())) == 1
+            got = spc_rank(q, None, protos, SumConfig(1.0))
+            assert got.class_ids.tolist() == list(range(n_proto))
+            assert len(set(got.scores.tolist())) == 1
+
+    @pytest.mark.parametrize("zero_at", [0, 3])
+    @pytest.mark.parametrize("dim", range(4, 10))
+    def test_signed_zero_copies_tie(self, dim, zero_at):
+        # v and neg, v with -0.0 for its 0.0, are one vector by value. A
+        # zero first component keys them alike; at index 3 a different
+        # vector w takes their first component first, so they are keyed
+        # by their bytes, which must not tell 0.0 from -0.0. neg comes
+        # last of 5 rows, where a product may round its dot apart
+        rng = np.random.default_rng(dim)
+        for _ in range(100):
+            v = rng.standard_normal(dim)
+            v[zero_at] = 0.0
+            v = normalize(v)
+            neg = v.copy()
+            neg[zero_at] = -0.0
+            w = v.copy()
+            w[[1, 2]] = w[[2, 1]]
+            q = normalize(rng.standard_normal(dim))
+            if np.dot(v, q) < 0:
+                v, neg, w = -neg, -v, -w
+            store = UserStore(dim)
+            for c, u in ((9, w), (8, v), (7, v), (6, v), (5, neg)):
+                store.append(u, c)
+            protos = PrototypeSet(dim, class_ids=[9, 1, 0],
+                                  vectors=np.stack([w, v, neg]))
+            for scored in (protos, None):
+                got = spc_rank(q, store, scored, SpcConfig(1.0))
+                ref = id_indexed_rank(q, store, scored, SpcConfig(1.0))
+                assert got.class_ids.tolist() == ref.class_ids.tolist()
+                np.testing.assert_array_equal(got.scores, ref.scores)
+                tied = [s for c, s in zip(got.class_ids.tolist(),
+                                          got.scores.tolist()) if c != 9]
+                assert len(set(tied)) == 1
+
+
 class TestSpcSumRank:
     def test_ws_zero_matches_user_only_order(self):
         rng = np.random.default_rng(7)
@@ -355,6 +427,8 @@ class TestNcmRank:
         counter = DotCounter()
         r = ncm_rank(q, protos, counter)
         dots = protos.matrix64 @ q.astype(np.float64)
+        # the product may round the copy's dot by its row; the copy ties
+        dots[-1] = dots[0]
         order = np.lexsort((ids, -dots))
         assert r.class_ids.tolist() == ids[order].tolist()
         np.testing.assert_array_equal(r.scores, dots[order])

@@ -432,11 +432,11 @@ def replay_cases(draw):
     """A stream, a prototype set and a strategy, drawn to hit ties,
     negative similarities, empty sides and the cold start.
 
-    General vectors are drawn at dim <= 8. Small dims do not keep the
-    per-call matrix-vector product from rounding the dots of identical
-    stored vectors differently by their row (seen at dims 4, 7 and 8), so
-    that path does not yet break ties among them by the tie rule; the
-    exact pool's vectors are immune.
+    General vectors are drawn at dim <= 8, eight to a pool, so streams and
+    prototype sets repeat them. A matrix-vector product may round one
+    vector's dot differently by its row (seen at dim 8), so a repeated
+    vector's ties test that each path gives its copies one dot; the exact
+    pool's dots are exact on every path.
     """
     if draw(st.booleans()):
         pool = EXACT_POOL
@@ -568,6 +568,35 @@ class TestEvaluatorDifferential:
                                  vec=np.array([np.nan, np.nan], np.float32))]
         with pytest.raises(SpcError, match="t=2"):
             run_user_stream(records, None, Strategy(kind="spc"))
+
+    @pytest.mark.parametrize("dim", range(2, 10))
+    def test_copies_tie(self, dim):
+        # copies of one vector under falling class ids, in the stream and
+        # the prototype set: a BLAS product may round a row's dot by the
+        # row's place (seen at dim 8), so many draws are made
+        rng = np.random.default_rng(dim)
+        for _ in range(60):
+            v = normalize(rng.standard_normal(dim))
+            n_user, n_proto = (int(k) for k in rng.integers(1, 9, 2))
+            records = [LabeledRecord(user="u", t=t + 1, class_id=c, vec=v)
+                       for t, c in enumerate(range(n_user + 5, 5, -1))]
+            records += [LabeledRecord(user="u", t=n_user + 1 + t,
+                                      class_id=0, vec=q)
+                        for t, q in enumerate(
+                            normalize(rng.standard_normal(dim))
+                            for _ in range(4))]
+            protos = PrototypeSet(dim, class_ids=range(n_proto),
+                                  vectors=np.tile(v, (n_proto, 1)))
+            proto_pairs = list(zip(range(n_proto), protos.matrix))
+            for kind in ("1nn", "1nn-star", "ncm-fixed"):
+                strategy = Strategy(kind=kind)
+                want = [[c for c, _ in brute_force_rank(
+                    rec.vec, [], proto_pairs, w_s=1.0)] for rec in records] \
+                    if kind == "ncm-fixed" else \
+                    oracle_replay(records, protos, strategy)
+                got = run_user_stream(records, protos, strategy)
+                assert [o.predicted for o in got] == \
+                    [ids[0] if ids else None for ids in want]
 
 
 @st.composite
