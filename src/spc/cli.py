@@ -140,10 +140,8 @@ def cmd_build_prototypes(args) -> int:
 
 
 def _load_eval_inputs(args):
-    registry = None
-    protos = None
-    if args.prototypes is not None:
-        protos, registry = read_prototypes(args.prototypes)
+    protos, registry = (read_prototypes(args.prototypes)
+                        if args.prototypes is not None else (None, None))
     records, registry = read_records(args.stream, registry=registry)
     return group_by_user(records), protos
 
@@ -289,12 +287,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as e:
-        print(f"spc: error: {e}", file=sys.stderr)
-        return 2
     except (SpcError, OSError) as e:
         print(f"spc: error: {e}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(e, UsageError) else 1
 
 
 if __name__ == "__main__":

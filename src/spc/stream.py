@@ -3,11 +3,11 @@ strategy (predict, score, then learn the true label) and aggregate the
 per-record results into bucketed report tables.
 
 A user's results are one columnar UserResult: per record, the 0-based rank
-position of the true class (a hit at k is rank < k), the predicted class
-and the upper-limit flags. Reports, sweeps and cross-validation read these
-arrays directly; iterating a result gives each record's hits and top-1 as
-an Outcome. The in-union flag is the harness's own bookkeeping, so it
-holds even for strategies that do not learn.
+position of the true class (a hit at k is rank < k) and the upper-limit
+flags. Reports, sweeps and cross-validation read these arrays directly;
+only run_user_stream also takes each record's top-1, for its Outcomes.
+The in-union flag is the harness's own bookkeeping, so it holds even for
+strategies that do not learn.
 
 Every strategy is replayed by one function, _replay, per user rather
 than step by step: since the store at step t holds exactly records
@@ -63,8 +63,9 @@ class Strategy:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise SpcError(f"unknown strategy kind {self.kind!r}")
-        self.config  # the setting checks w or w_s
-        if self.kind == "ncm-incr" and self.mean_mode not in MEAN_MODES:
+        # every field is checked, whether or not the kind reads it
+        SpcConfig(self.w), SumConfig(self.w_s)
+        if self.mean_mode not in MEAN_MODES:
             raise SpcError(f"unknown mean mode {self.mean_mode!r}")
 
     @property
@@ -82,8 +83,8 @@ class Strategy:
 
 @dataclass(frozen=True, slots=True)
 class Outcome:
-    """One record's hits at each k and top-1, built on demand when a
-    UserResult is iterated."""
+    """One record's hits at each k of K_LIST and top-1, built on demand
+    when a run_user_stream result is iterated."""
 
     hits: dict[int, bool]
     predicted: int | None
@@ -100,11 +101,10 @@ class UserResult:
 
     rank is the 0-based rank position of the true class, MISS where it was
     not a candidate, so a hit at k is rank < k. predicted is the top-1
-    class id, -1 where nothing was ranked; a sweep skips the top-1, so its
-    results hold None there, and their Outcomes predict None.
+    class id, -1 where nothing was ranked; only run_user_stream takes it,
+    so other results hold None there, and their Outcomes predict None.
     """
 
-    k_list: tuple[int, ...]
     true_class: np.ndarray
     rank: np.ndarray
     predicted: np.ndarray | None
@@ -118,7 +118,7 @@ class UserResult:
         tops = ([-1] * len(self) if self.predicted is None
                 else self.predicted.tolist())
         for pos, top in zip(self.rank.tolist(), tops):
-            yield Outcome(hits={k: pos < k for k in self.k_list},
+            yield Outcome(hits={k: pos < k for k in K_LIST},
                           predicted=None if top < 0 else top)
 
 
@@ -239,8 +239,8 @@ def _top1(score, cand, present, ids) -> np.ndarray:
     return np.where(top.any(axis=0), ids[row], -1)
 
 
-def _replay(records, protos, strategies, k_list, counter=None,
-            top1=True) -> list[UserResult]:
+def _replay(records, protos, strategies, counter=None,
+            top1=False) -> list[UserResult]:
     """One user's results under strategies that differ only in w or w_s.
 
     Under predict-then-learn the user store at step t holds exactly records
@@ -293,6 +293,7 @@ def _replay(records, protos, strategies, k_list, counter=None,
                 versions, latest = _mean_versions(
                     queries[:seen], ids, rows[:seen], proto_rows, protos,
                     strategies[0].mean_mode)
+                v_pos, v_src = repeated_rows((versions,))
             else:
                 # a repeated vector takes the dots of its first row, the
                 # prototype rows first: a product may round one vector's
@@ -330,9 +331,12 @@ def _replay(records, protos, strategies, k_list, counter=None,
                         version[block_rows, steps + 1] = P + np.arange(b0, b1)
                     np.maximum.accumulate(version, axis=1, out=version)
                     latest, version = version[:, n].copy(), version[:, :n]
-                    # no step before b1 exposes a later version
-                    sm = (versions[:P + b1] @ queries[b].T)[
-                        np.maximum(version, 0), steps]
+                    # no step before b1 exposes a later version; a repeated
+                    # mean takes the dots of its first row, so copies tie
+                    sm = versions[:P + b1] @ queries[b].T
+                    k = np.searchsorted(v_pos, P + b1)
+                    sm[v_pos[:k]] = sm[v_src[:k]]
+                    sm = sm[np.maximum(version, 0), steps]
                     cand = version >= 0
                 elif use_protos:
                     sm[proto_rows] = proto_dots[:, b]
@@ -363,22 +367,21 @@ def _replay(records, protos, strategies, k_list, counter=None,
             dots = dots[dots != 0]
             counter.total += int(dots.sum())
             counter.per_call.extend(dots.tolist())
-    return [UserResult(k_list=tuple(k_list), rank=rank, predicted=top,
-                       **columns) for rank, top in zip(ranks, tops)]
+    return [UserResult(rank=rank, predicted=top, **columns)
+            for rank, top in zip(ranks, tops)]
 
 
 def run_user_stream(records: Sequence[LabeledRecord],
                     protos: PrototypeSet | None,
                     strategy: Strategy,
-                    k_list: Sequence[int] = K_LIST,
                     counter: DotCounter | None = None) -> UserResult:
     """Replay one user's stream: predict, log, then register the true label.
 
-    A record whose class cannot possibly be ranked (nothing stored yet and
-    no prototypes) is logged as a miss with no prediction rather than an
-    error; that is the 1-NN* cold start.
+    Only this replay takes each record's top-1. A record whose class cannot
+    be ranked (nothing stored yet and no prototypes) is logged as a miss
+    with no prediction rather than an error; that is the 1-NN* cold start.
     """
-    return _replay(list(records), protos, [strategy], k_list, counter)[0]
+    return _replay(list(records), protos, [strategy], counter, top1=True)[0]
 
 
 def group_by_user(records: Iterable[LabeledRecord]) -> dict[str, list[LabeledRecord]]:
@@ -390,10 +393,10 @@ def group_by_user(records: Iterable[LabeledRecord]) -> dict[str, list[LabeledRec
 
 
 def run_streams(streams: dict[str, list[LabeledRecord]],
-                protos: PrototypeSet | None, strategy: Strategy,
-                k_list: Sequence[int] = K_LIST) -> dict[str, UserResult]:
+                protos: PrototypeSet | None,
+                strategy: Strategy) -> dict[str, UserResult]:
     """Evaluate every user independently; users never share state."""
-    return _sweep(streams, protos, [strategy], k_list, top1=True)[0]
+    return _sweep(streams, protos, [strategy])[0]
 
 
 @dataclass
@@ -500,22 +503,19 @@ def evaluate(streams: dict[str, list[LabeledRecord]],
              k_list: Sequence[int] = K_LIST,
              bucket_width: int = BUCKET_WIDTH) -> BucketReport:
     """Run every user through the strategy and bucket the results."""
-    return bucket_report(run_streams(streams, protos, strategy, k_list),
+    return bucket_report(run_streams(streams, protos, strategy),
                          bucket_width=bucket_width, k_list=k_list)
 
 
-def _sweep(streams, protos, strategies, k_list,
-           top1=False) -> list[dict[str, UserResult]]:
-    """Per-user results of strategies that differ only in w or w_s, with
-    the top-1 only if asked for."""
+def _sweep(streams, protos, strategies) -> list[dict[str, UserResult]]:
+    """Per-user ranks and flags of strategies that differ only in w or w_s."""
     if not strategies:
         raise SpcError("empty parameter grid")
     # _replay takes kind, learn and mean_mode from the first strategy
     if len({replace(s, w=1.0, w_s=1.0) for s in strategies}) > 1:
         raise SpcError("a replay's strategies may differ only in w or w_s")
     # one user's class scores are freed before the next user's are built
-    per_user = {user: _replay(list(recs), protos, strategies, k_list,
-                              top1=top1)
+    per_user = {user: _replay(list(recs), protos, strategies)
                 for user, recs in sorted(streams.items())}
     return [{user: results[i] for user, results in per_user.items()}
             for i in range(len(strategies))]
@@ -525,7 +525,7 @@ def _sweep_reports(streams, protos, kind, param, grid, k_list, bucket_width):
     """One report per grid value of one weight; Strategy checks its range."""
     grid = list(grid)
     results = _sweep(streams, protos,
-                     [Strategy(kind=kind, **{param: v}) for v in grid], k_list)
+                     [Strategy(kind=kind, **{param: v}) for v in grid])
     return [(v, bucket_report(r, bucket_width, k_list))
             for v, r in zip(grid, results)]
 
@@ -613,7 +613,7 @@ def cross_validate_w(streams, protos, grid, folds: int = 2,
         if not streams[user]:
             raise SpcError(f"user {user!r} has an empty stream")
     results = _sweep(streams, protos,
-                     [Strategy(kind="spc", w=w) for w in grid], (objective_k,))
+                     [Strategy(kind="spc", w=w) for w in grid])
     user_acc = {w: {u: float(np.mean(r[u].rank < objective_k))
                     for u in users}
                 for w, r in zip(grid, results)}

@@ -16,6 +16,8 @@ from spc import (DotCounter, PrototypeSet, Ranking, SpcError, SumConfig,
 from spc.core import check_unit
 from spc.stream import MISS, unit_means
 
+from .reference_rank import _first_row_dots
+
 
 def ncm_rank(query, protos: PrototypeSet,
              counter: DotCounter | None = None) -> Ranking:
@@ -35,6 +37,7 @@ class RunningMeans:
     order. A new class inserts its row in place rather than appending it:
     a matrix product's rounding depends on each row's position, and id
     order keeps every score independent of the order classes arrived in.
+    Equal means take the dot of the first of them, so they tie exactly.
     """
 
     def __init__(self, dim: int) -> None:
@@ -101,7 +104,8 @@ class RunningMeans:
         q = check_unit(query, self.dim)
         if counter is not None:
             counter.add(len(self._ids))
-        scores = self._exposed @ q
+        # equal means take one dot, that of the first such row
+        scores = _first_row_dots(self._exposed, self._exposed @ q, {})
         order = np.lexsort((self._ids, -scores))
         return Ranking(class_ids=self._ids[order], scores=scores[order])
 

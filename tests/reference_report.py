@@ -10,15 +10,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from spc import BucketReport, SpcError
+from spc import BucketReport, SpcError, run_user_stream
+
+
+def user_results(streams, protos, strategy):
+    """run_user_stream per user: results that hold the top-1, which
+    run_streams does not take."""
+    return {user: run_user_stream(records, protos, strategy)
+            for user, records in streams.items()}
 
 
 def columns(results):
-    """Per user, the true classes, the upper-limit flags, the hits at each
-    k and the top-1 as lists, so dicts of results compare."""
+    """Per user, the true classes, the upper-limit flags, the rank
+    positions and the top-1 as lists, so dicts of results compare."""
     return {user: (r.true_class.tolist(), r.in_initial.tolist(),
-                   r.in_union.tolist(), [(r.rank < k).tolist()
-                                         for k in r.k_list],
+                   r.in_union.tolist(), r.rank.tolist(),
                    None if r.predicted is None else r.predicted.tolist())
             for user, r in results.items()}
 

@@ -15,7 +15,7 @@ from spc import (DotCounter, LabeledRecord, PrototypeSet, SpcConfig, Strategy,
                  select_classes, spc_rank, sweep_w, sweep_ws)
 
 from .oracle import brute_force_rank, ranked_pairs
-from .reference_report import columns
+from .reference_report import columns, user_results
 
 W_GRID = [round(0.70 + 0.05 * i, 2) for i in range(7)]     # 0.70 .. 1.00
 WS_GRID = [round(0.1 * i, 1) for i in range(11)]           # 0.0 .. 1.0
@@ -126,13 +126,14 @@ def test_criterion_2_reduction_identities(bench):
             ((protos, Strategy(kind="spc", w=0.85, learn=False)),
              (protos, Strategy(kind="ncm-fixed"))),
         ]
+        # run_user_stream per user, so the top-1 is compared too
         for (pa, sa), (pb, sb) in pairs:
-            assert columns(run_streams(sub, pa, sa)) == columns(
-                run_streams(sub, pb, sb)), f"{sa.label()} != {sb.label()}"
+            assert columns(user_results(sub, pa, sa)) == columns(
+                user_results(sub, pb, sb)), f"{sa.label()} != {sb.label()}"
         # the all-prototype linear combination ranks exactly like the
         # prototype-only classifier
-        out_a = run_streams(sub, protos, Strategy(kind="spc-sum", w_s=1.0))
-        out_b = run_streams(sub, protos, Strategy(kind="ncm-fixed"))
+        out_a = user_results(sub, protos, Strategy(kind="spc-sum", w_s=1.0))
+        out_b = user_results(sub, protos, Strategy(kind="ncm-fixed"))
         for user in out_a:
             assert [(o.predicted, o.hits) for o in out_a[user]] == \
                 [(o.predicted, o.hits) for o in out_b[user]]

@@ -20,7 +20,8 @@ from spc import (BucketReport, DimensionMismatchError, DotCounter,
 
 from .oracle import brute_force_rank
 from .reference_means import reference_mean_replay
-from .reference_report import columns, mean_accuracy, reference_bucket_report
+from .reference_report import (columns, mean_accuracy,
+                               reference_bucket_report, user_results)
 
 SMALL = dict(dim=16, num_common_classes=12, users=6, records_per_user=40,
              novel_classes_per_user=2, confusable_group_count=2, group_size=2,
@@ -154,15 +155,19 @@ class TestInvariants:
         user = sorted(streams)[0]
         alone = run_user_stream(streams[user], protos, Strategy(kind="spc"))
         together = run_streams(streams, protos, Strategy(kind="spc"))
-        assert columns({user: alone}) == columns({user: together[user]})
+        # run_streams takes no top-1, so every other column is compared
+        assert together[user].predicted is None
+        assert columns({user: dataclasses.replace(alone, predicted=None)}) \
+            == columns({user: together[user]})
 
 
 class TestReductionIdentities:
-    """Different strategy labels that must traverse identical outcomes."""
+    """Different strategy labels that must traverse identical outcomes,
+    top-1 included, so each user is replayed by run_user_stream."""
 
     def assert_same(self, streams, protos_a, a, protos_b, b):
-        out_a = run_streams(streams, protos_a, a)
-        out_b = run_streams(streams, protos_b, b)
+        out_a = user_results(streams, protos_a, a)
+        out_b = user_results(streams, protos_b, b)
         assert columns(out_a) == columns(out_b)
 
     def test_w_one_equals_plain_nearest_neighbor(self, synth):
@@ -179,8 +184,8 @@ class TestReductionIdentities:
         # 1nn-star keeps the prototype set for the initial-class bookkeeping
         # but never scores against it
         streams, protos = synth
-        with_p = run_streams(streams, protos, Strategy(kind="1nn-star"))
-        without = run_streams(streams, None, Strategy(kind="1nn-star"))
+        with_p = user_results(streams, protos, Strategy(kind="1nn-star"))
+        without = user_results(streams, None, Strategy(kind="1nn-star"))
         for user in with_p:
             assert [o.predicted for o in with_p[user]] == \
                 [o.predicted for o in without[user]]
@@ -194,8 +199,9 @@ class TestReductionIdentities:
 
     def test_sum_weight_one_equals_prototype_only(self, synth):
         streams, protos = synth
-        out_a = run_streams(streams, protos, Strategy(kind="spc-sum", w_s=1.0))
-        out_b = run_streams(streams, protos, Strategy(kind="ncm-fixed"))
+        out_a = user_results(streams, protos,
+                             Strategy(kind="spc-sum", w_s=1.0))
+        out_b = user_results(streams, protos, Strategy(kind="ncm-fixed"))
         for user in out_a:
             assert [o.predicted for o in out_a[user]] == \
                 [o.predicted for o in out_b[user]]
@@ -308,12 +314,19 @@ class TestStrategyConfig:
     def test_the_setting_checks_the_weights(self):
         with pytest.raises(SpcError, match="w_s must be in"):
             Strategy(kind="spc-sum", w_s=1.5)
-        # a weight the kind does not use is not checked
-        assert Strategy(kind="1nn", w=0.0).config == SpcConfig(1.0)
+        # a weight the kind does not use is checked too
+        for fields, message in (
+                (dict(kind="1nn", w=0.0), r"w must be in \(0, 1\], got 0.0"),
+                (dict(kind="spc-sum", w=-3.0), r"w must be in \(0, 1\]"),
+                (dict(kind="spc", w_s=5.0), r"w_s must be in \[0, 1\]")):
+            with pytest.raises(SpcError, match=message):
+                Strategy(**fields)
 
     def test_unknown_mean_mode_is_refused(self):
-        with pytest.raises(SpcError, match="unknown mean mode 'bogus'"):
-            Strategy(kind="ncm-incr", mean_mode="bogus")
+        # whatever the kind, though only ncm-incr reads the mode
+        for kind in ("ncm-incr", "1nn"):
+            with pytest.raises(SpcError, match="unknown mean mode 'bogus'"):
+                Strategy(kind=kind, mean_mode="bogus")
 
 
 class TestSweeps:
@@ -337,11 +350,10 @@ class TestSweeps:
         streams, protos = synth
         with pytest.raises(SpcError,
                            match="strategies may differ only in w or w_s"):
-            stream_module._sweep(streams, protos, [Strategy("spc"), other],
-                                 (1,), top1=True)
+            stream_module._sweep(streams, protos, [Strategy("spc"), other])
         swept = stream_module._sweep(
             streams, protos, [Strategy("spc-sum", w=0.5, w_s=0.2),
-                              Strategy("spc-sum", w=0.9, w_s=0.7)], (1,))
+                              Strategy("spc-sum", w=0.9, w_s=0.7)])
         assert len(swept) == 2
 
     def test_sweep_ws_allows_zero(self, synth):
@@ -432,8 +444,8 @@ def replay_cases(draw):
     """A stream, a prototype set and a strategy, drawn to hit ties,
     negative similarities, empty sides and the cold start.
 
-    General vectors are drawn at dim <= 8, eight to a pool, so streams and
-    prototype sets repeat them. A matrix-vector product may round one
+    General vectors are drawn at dim 2-64, eight to a pool, so streams
+    and prototype sets repeat them. A matrix-vector product may round one
     vector's dot differently by its row (seen at dim 8), so a repeated
     vector's ties test that each path gives its copies one dot; the exact
     pool's dots are exact on every path.
@@ -442,7 +454,7 @@ def replay_cases(draw):
         pool = EXACT_POOL
     else:
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        dim = draw(st.integers(2, 8))
+        dim = draw(st.integers(2, 64))
         pool = [normalize(rng.standard_normal(dim)) for _ in range(8)]
     n = draw(st.integers(1, 24))
     n_classes = draw(st.integers(1, 6))
@@ -605,13 +617,13 @@ def mean_cases(draw):
     baseline, drawn to hit classes new to the stream, classes seen many
     times and negative similarities.
 
-    Vectors are drawn at dim <= 7. Small dims do not keep the reference's
-    per-call matrix-vector product from rounding the scores of identical
-    means differently by their row (it shows at dim 7), so it does not yet
-    break ties among them by the tie rule.
+    Vectors are drawn at dim 2-64, eight to a pool, so means repeat. A
+    matrix-vector product may round one mean's dot differently by its row
+    (seen at dim 7), so repeated means test that the replay and the
+    reference each give equal means one dot.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    dim = draw(st.integers(2, 7))
+    dim = draw(st.integers(2, 64))
     pool = [normalize(rng.standard_normal(dim)) for _ in range(8)]
     n = draw(st.integers(1, 30))
     n_classes = draw(st.integers(1, 6))
@@ -682,6 +694,44 @@ class TestMeanReplayMatchesReference:
                 assert [o.predicted for o in got] == predicted
                 assert [o.hits[5] for o in got] == [p < 5 for p in positions]
 
+    @pytest.mark.parametrize("mode", stream_module.MEAN_MODES)
+    def test_repeated_means_tie(self, mode):
+        # copies of one vector at varied prototype rows under falling ids,
+        # at one count, so their means are equal: a product may round a
+        # row's dot by its place (seen at dim 8), and the smallest id must
+        # win; short streams make the products matrix-vector shaped
+        strategy = Strategy(kind="ncm-incr", mean_mode=mode, learn=False)
+        for dim in range(2, 65):
+            rng = np.random.default_rng(dim)
+            for _ in range(12):
+                v = normalize(rng.standard_normal(dim))
+                n_copy, n_other = (int(k) for k in rng.integers(2, 8, 2))
+                others = []  # far from v, so a copy is the top-1
+                while len(others) < n_other:
+                    u = normalize(rng.standard_normal(dim))
+                    if abs(float(u.dot(v))) < 0.5:
+                        others.append(u)
+                copy = set(rng.choice(n_copy + n_other, n_copy,
+                                      replace=False).tolist())
+                ids = range(n_copy + n_other - 1, -1, -1)
+                protos = PrototypeSet(
+                    dim, class_ids=ids,
+                    vectors=[v if r in copy else others.pop()
+                             for r in range(len(ids))],
+                    counts={c: 7 if r in copy else int(rng.integers(1, 50))
+                            for r, c in enumerate(ids)})
+                want = min(ids[r] for r in copy)
+                records = [
+                    LabeledRecord(user="u", t=t + 1, class_id=want,
+                                  vec=normalize(v + 0.05 * rng.standard_normal(
+                                      dim)))
+                    for t in range(int(rng.integers(1, 3)))]
+                got = run_user_stream(records, protos, strategy)
+                assert got.predicted.tolist() == [want] * len(records)
+                _, predicted = reference_mean_replay(records, protos,
+                                                     strategy)
+                assert predicted == [want] * len(records)
+
     def errors(self, records, protos, strategy):
         """The reference's error and the replay's, both SpcErrors."""
         with pytest.raises(SpcError) as want:
@@ -747,11 +797,10 @@ class TestBucketReportMatchesReference:
     @pytest.mark.parametrize("kind", ["spc", "1nn-star", "ncm-incr"])
     def test_field_by_field(self, synth, kind, width):
         streams, protos = synth
-        outcomes = run_streams(streams, protos, Strategy(kind=kind),
-                               k_list=(1, 2, 5))
+        outcomes = run_streams(streams, protos, Strategy(kind=kind))
         short = sorted(streams)[0]
         ragged = run_streams({**streams, short: streams[short][:23]}, protos,
-                             Strategy(kind=kind), k_list=(1, 2, 5))
+                             Strategy(kind=kind))
         for outs, k_list in ((outcomes, (1, 5)), (ragged, (1, 2, 5))):
             got = bucket_report(outs, bucket_width=width, k_list=k_list)
             want = reference_bucket_report(outs, bucket_width=width,
@@ -782,9 +831,9 @@ class TestColumnarResults:
         report = evaluate(streams, protos, strategy, k_list=k_list,
                           bucket_width=width)
         assert report.ragged
-        swept = stream_module._sweep(streams, protos, [strategy], k_list)
+        swept = stream_module._sweep(streams, protos, [strategy])
         assert report == bucket_report(swept[0], width, k_list)
-        outs = run_streams(streams, protos, strategy, k_list)
+        outs = run_streams(streams, protos, strategy)
         assert report == reference_bucket_report(outs, width, k_list)
 
     @pytest.mark.parametrize("strategy", list(STRATEGIES.values()),
@@ -792,25 +841,24 @@ class TestColumnarResults:
     def test_iteration_matches_columns(self, synth, strategy):
         streams, protos = synth
         user = sorted(streams)[0]
-        result = run_user_stream(streams[user], protos, strategy,
-                                 k_list=(1, 3))
+        result = run_user_stream(streams[user], protos, strategy)
         outs = list(result)
         assert len(outs) == len(result) == len(streams[user])
         assert result.true_class.tolist() == [rec.class_id
                                               for rec in streams[user]]
         for o, pos, top in zip(outs, result.rank, result.predicted):
             assert o.predicted == (None if top < 0 else top)
-            assert o.hits == {1: pos < 1, 3: pos < 3}
+            assert o.hits == {1: pos < 1, 5: pos < 5}
 
     @pytest.mark.parametrize("strategy", list(STRATEGIES.values()),
                              ids=list(STRATEGIES))
     def test_sweep_results_give_outcome_views(self, ragged, strategy):
         # a sweep skips the top-1, so its Outcomes hold no prediction
         streams, protos = ragged
-        swept = stream_module._sweep(streams, protos, [strategy], (1, 3))[0]
+        swept = stream_module._sweep(streams, protos, [strategy])[0]
         for user, records in streams.items():
             want = [dataclasses.replace(o, predicted=None) for o in
-                    run_user_stream(records, protos, strategy, (1, 3))]
+                    run_user_stream(records, protos, strategy)]
             got = swept[user]
             assert got.predicted is None
             assert list(got) == want
@@ -887,16 +935,15 @@ class TestBlockBoundaries:
         monkeypatch.setattr(stream_module, "GRAM_BLOCK", block)
         grid = [dataclasses.replace(STRATEGIES[name], w=w, w_s=w_s,
                                     learn=learn) for w, w_s in self.GRID]
-        k_list = (1, 5)
-        swept = stream_module._sweep(streams, protos, grid, k_list)
+        swept = stream_module._sweep(streams, protos, grid)
         for user, records in streams.items():
             for strategy, results in zip(grid, swept):
-                got = run_user_stream(records, protos, strategy, k_list)
+                got = run_user_stream(records, protos, strategy)
                 assert list(results[user]) == list(
                     dataclasses.replace(got, predicted=None))
             # the grid value the reference replays
             got = run_user_stream(records, protos, dataclasses.replace(
-                STRATEGIES[name], learn=learn), k_list)
+                STRATEGIES[name], learn=learn))
             rank, predicted = reference[user, name, learn]
             assert got.rank.tolist() == rank
             assert got.predicted.tolist() == predicted
