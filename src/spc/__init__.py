@@ -11,7 +11,7 @@ from .engine import (DotCounter, Ranking, SpcConfig, SumConfig, register,
 from .prototypes import (SubsetSpec, TrainIndex, build_prototypes, coverage,
                          select_classes)
 from .stream import (BucketReport, CvResult, Outcome, Strategy, UserResult,
-                     bucket_report, cross_validate_w, evaluate, group_by_user,
+                     bucket_report, cross_validate_w, group_by_user,
                      run_streams, run_user_stream, sweep_table, sweep_w,
                      sweep_ws)
 from .synth import SynthConfig, generate_synthetic
@@ -23,7 +23,7 @@ __all__ = [
     "ReportTable", "SpcConfig", "SpcError", "Strategy", "SubsetSpec",
     "SumConfig", "SynthConfig", "TrainIndex", "UserResult", "UserStore",
     "bucket_report", "build_prototypes", "coverage",
-    "cross_validate_w", "evaluate", "generate_synthetic", "group_by_user",
+    "cross_validate_w", "generate_synthetic", "group_by_user",
     "normalize", "read_prototypes", "read_records", "register",
     "render_report", "run_streams", "run_user_stream", "select_classes",
     "spc_rank", "sweep_table", "sweep_w", "sweep_ws",

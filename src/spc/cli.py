@@ -10,16 +10,18 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
-from .core import SpcError
+from .core import SpcError, check_topk
 from .data_io import (read_prototypes, read_records, write_manifest,
                       write_prototypes, write_records, write_report)
 from .prototypes import SubsetSpec, TrainIndex, build_prototypes, coverage, \
     select_classes
-from .stream import (BUCKET_WIDTH, K_LIST, Strategy, cross_validate_w,
-                     evaluate, group_by_user, sweep_table, sweep_w, sweep_ws)
+from .stream import (BUCKET_WIDTH, K_LIST, Strategy, bucket_report,
+                     cross_validate_w, group_by_user, run_streams, sweep_table,
+                     sweep_w, sweep_ws)
 from .synth import SynthConfig, generate_synthetic
 
 # --strategy name -> the strategy at its default settings, in report order
@@ -56,34 +58,29 @@ def parse_grid(spec: str) -> list[float]:
     if not spec:
         raise UsageError("empty grid")
     try:
-        if ":" in spec:
-            parts = [float(x) for x in spec.split(":")]
-            if len(parts) != 3:
-                raise ValueError("expected start:step:end")
-            start, step, end = parts
-            if step <= 0 or end < start:
-                raise ValueError("need step > 0 and end >= start")
-            values, i = [], 0
-            while True:
-                v = round(start + i * step, 10)
-                if v > end + 1e-12:
-                    break
-                values.append(v)
-                i += 1
-            return values
-        return [float(x) for x in spec.split(",")]
+        parts = [float(x) for x in spec.split(":" if ":" in spec else ",")]
+        if not all(map(math.isfinite, parts)):
+            raise ValueError("values must be finite")
+        if ":" not in spec:
+            return parts
+        if len(parts) != 3:
+            raise ValueError("expected start:step:end")
+        start, step, end = parts
+        if step <= 0 or end < start:
+            raise ValueError("need step > 0 and end >= start")
+        values = []
+        while (v := round(start + len(values) * step, 10)) <= end + 1e-12:
+            values.append(v)
+        return values
     except ValueError as e:
         raise UsageError(f"bad grid {spec!r}: {e}") from None
 
 
 def parse_topk(spec: str) -> tuple[int, ...]:
     try:
-        ks = tuple(int(x) for x in spec.split(","))
-    except ValueError:
-        raise UsageError(f"bad --topk {spec!r}") from None
-    if not ks or any(k < 1 for k in ks) or len(set(ks)) != len(ks):
-        raise UsageError(f"bad --topk {spec!r}")
-    return ks
+        return check_topk([int(x) for x in spec.split(",")])
+    except (ValueError, SpcError) as e:
+        raise UsageError(f"bad --topk {spec!r}: {e}") from None
 
 
 def parse_strategy(name: str, w: float | None, ws: float | None,
@@ -151,8 +148,8 @@ def cmd_eval(args) -> int:
                               learn=not args.no_learn)
     k_list = parse_topk(args.topk)
     streams, protos = _load_eval_inputs(args)
-    report = evaluate(streams, protos, strategy, k_list=k_list,
-                      bucket_width=args.bucket)
+    report = bucket_report(run_streams(streams, protos, strategy),
+                           bucket_width=args.bucket, k_list=k_list)
     table = report.to_table(strategy.label())
     write_report(table, args.out, fmt=args.format, precise=args.precise)
     print(f"wrote {args.out}")
@@ -197,7 +194,8 @@ def cmd_bench(args) -> int:
     # a label such as "spc (w=0.85)" names the file eval-spc-w0.85
     munge = str.maketrans("(", "-", " )=")
     tables = [(f"eval-{s.label().translate(munge)}",
-               evaluate(streams, protos, s).to_table(s.label()))
+               bucket_report(run_streams(streams, protos, s))
+               .to_table(s.label()))
               for s in STRATEGIES.values()]
     tables.append(("sweep-w", sweep_table(sweep_w(streams, protos, grid), "w",
                                           K_LIST, BUCKET_WIDTH)))

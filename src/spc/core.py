@@ -52,6 +52,8 @@ class LabelRegistry:
         return new_id
 
     def resolve(self, class_id: int) -> str:
+        if not 0 <= class_id < len(self._label_of):
+            raise SpcError(f"class id {class_id} has no label")
         return self._label_of[class_id]
 
 
@@ -67,6 +69,15 @@ def check_int(value, name: str, low: int) -> int:
         raise SpcError(f"{name} must be an integer from {low} to 2**63 - 1, "
                        f"got {value!r}")
     return i
+
+
+def check_topk(k_list) -> tuple[int, ...]:
+    """k_list as a tuple, once it is checked to be non-empty and distinct,
+    each k an integer from 1 (check_int): a report's top-k columns."""
+    ks = tuple(check_int(k, "top-k", 1) for k in k_list)
+    if not ks or len(set(ks)) != len(ks):
+        raise SpcError(f"top-k list must be distinct and non-empty, got {ks}")
+    return ks
 
 
 def normalize(raw) -> np.ndarray:

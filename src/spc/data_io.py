@@ -116,7 +116,8 @@ def _write_lines(path, fmt: str, header: dict, rows) -> None:
 def write_records(records, path, registry: LabelRegistry | None = None,
                   dim: int | None = None) -> None:
     """Write labeled records as header + one JSON object per line. A
-    record read_records would refuse is named before the file is opened."""
+    record read_records would refuse, or one whose class id the registry
+    lacks, is named before the file is opened."""
     records = list(records)
     if dim is None:
         if not records:
@@ -124,10 +125,10 @@ def write_records(records, path, registry: LabelRegistry | None = None,
         dim = len(records[0].vec)
     vecs = stack_records(records, dim, np.float32)
     resolve = registry.resolve if registry is not None else str
+    labels = [resolve(rec.class_id) for rec in records]
     _write_lines(path, RECORDS_FORMAT, {"dim": dim, "normalize": False},
-                 (({"user": rec.user, "t": rec.t,
-                    "label": resolve(rec.class_id)}, vec)
-                  for rec, vec in zip(records, vecs)))
+                 (({"user": rec.user, "t": rec.t, "label": label}, vec)
+                  for rec, label, vec in zip(records, labels, vecs)))
 
 
 def read_records(path, registry: LabelRegistry | None = None):
@@ -153,12 +154,15 @@ def read_records(path, registry: LabelRegistry | None = None):
 
 def write_prototypes(protos: PrototypeSet, path,
                      registry: LabelRegistry | None = None) -> None:
-    """One line per class: label, training count, prototype vector."""
+    """One line per class: label, training count, prototype vector. Every
+    label is resolved before the file is opened."""
     resolve = registry.resolve if registry is not None else str
+    ids = protos.class_ids.tolist()
+    labels = [resolve(c) for c in ids]
     counts = protos.counts or {}
     _write_lines(path, PROTOS_FORMAT, {"dim": protos.dim},
-                 (({"label": resolve(c), "count": counts.get(c)}, vec)
-                  for c, vec in zip(protos.class_ids.tolist(), protos.matrix)))
+                 (({"label": label, "count": counts.get(c)}, vec)
+                  for c, label, vec in zip(ids, labels, protos.matrix)))
 
 
 def read_prototypes(path, registry: LabelRegistry | None = None):

@@ -10,7 +10,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import LabeledRecord, PrototypeSet, SpcError, normalize
+from .core import (LabeledRecord, PrototypeSet, SpcError, check_int,
+                   normalize)
 
 
 @dataclass(frozen=True)
@@ -36,10 +37,9 @@ class SubsetSpec:
     per_class_cap: int | None = None
 
     def __post_init__(self):
-        if self.min_records < 1:
-            raise SpcError("min_records must be >= 1")
-        if self.per_class_cap is not None and self.per_class_cap < 1:
-            raise SpcError("per_class_cap must be >= 1")
+        check_int(self.min_records, "min_records", 1)
+        if self.per_class_cap is not None:
+            check_int(self.per_class_cap, "per_class_cap", 1)
 
 
 def select_classes(index: TrainIndex, spec: SubsetSpec) -> set[int]:
@@ -68,17 +68,15 @@ def build_prototypes(records: Sequence[LabeledRecord], classes: set[int],
     its members from an independent per-class seeded generator, so adding
     or removing one class never perturbs another class's sample.
     """
+    check_int(seed, "seed", 0)
     if not classes:
         raise SpcError("no classes selected")
+    if not records:
+        raise SpcError("no training records given")
     by_class: dict[int, list[np.ndarray]] = {c: [] for c in classes}
-    dim = None
     for rec in records:
-        if dim is None:
-            dim = len(rec.vec)
         if rec.class_id in by_class:
             by_class[rec.class_id].append(rec.vec)
-    if dim is None:
-        raise SpcError("no training records given")
 
     ids, vecs, counts = [], [], {}
     for c in sorted(classes):
@@ -96,5 +94,5 @@ def build_prototypes(records: Sequence[LabeledRecord], classes: set[int],
         ids.append(c)
         vecs.append(normalize(mean))
         counts[c] = len(members)
-    return PrototypeSet(dim=dim, class_ids=ids, vectors=np.stack(vecs),
-                        counts=counts)
+    return PrototypeSet(dim=len(records[0].vec), class_ids=ids,
+                        vectors=np.stack(vecs), counts=counts)

@@ -9,15 +9,13 @@ only run_user_stream also takes each record's top-1, for its Outcomes.
 The in-union flag is the harness's own bookkeeping, so it holds even for
 strategies that do not learn.
 
-Every strategy is replayed by one function, _replay, per user rather
-than step by step: since the store at step t holds exactly records
-1..t-1, every score comes from arrays over the user's class union U and
-the steps, which do not depend on w or w_s. Its one loop builds them
-GRAM_BLOCK steps at a time, each block's per-class max in one flat
-maximum.at, and ranks every strategy of a call in a block before the
-next one is built, so a replay holds no |U| x T or T x T array. The true
-class's rank position is a count rather than a sort. run_streams, the
-sweeps and cross-validation share one loop over users, _sweep.
+Every strategy is replayed per user, not step by step, by one function,
+_replay, whose docstring gives the method. run_streams, the sweeps and
+cross-validation share one loop over users, _sweep.
+
+A report is bucket_report(run_streams(streams, protos, strategy)).
+bucket_report and cross_validate_w check each integer setting with
+core.check_int, and the top-k list with core.check_topk, on entry.
 """
 
 from __future__ import annotations
@@ -29,14 +27,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import (DimensionMismatchError, LabeledRecord, PrototypeSet,
-                   SpcError, repeated_rows, stack_records)
+                   SpcError, check_int, check_topk, repeated_rows,
+                   stack_records)
 from .data_io import ReportTable
 from .engine import DotCounter, SpcConfig, SumConfig
 
 STRATEGY_KINDS = ("spc", "spc-sum", "ncm-fixed", "ncm-incr", "1nn", "1nn-star")
 K_LIST, BUCKET_WIDTH = (1, 5), 50  # the report defaults
-# ncm-incr's mean_mode: seed each initial class's running mean at its
-# training count, or at count 1 (see Strategy)
 MEAN_MODES = ("full-history", "mean-as-one")
 
 
@@ -448,12 +445,12 @@ def bucket_report(results: dict[str, UserResult],
                   k_list: Sequence[int] = K_LIST) -> BucketReport:
     """Bucket per-user results; the mean at t averages the users whose
     stream reaches t."""
+    bucket_width = check_int(bucket_width, "bucket_width", 1)
+    k_list = check_topk(k_list)
     users = list(results.values())
     lengths = {len(u) for u in users if len(u)}
     if not lengths:
         raise SpcError("no outcomes to report")
-    if bucket_width < 1:
-        raise SpcError("bucket width must be >= 1")
     T = max(lengths)
     buckets = [(lo, min(lo + bucket_width - 1, T))
                for lo in range(1, T + 1, bucket_width)]
@@ -465,7 +462,6 @@ def bucket_report(results: dict[str, UserResult],
             total[:len(a)] += a
         return total
 
-    k_list = tuple(k_list)
     reach = per_t(np.ones(len(u), dtype=np.int64) for u in users)
     init = per_t(u.in_initial for u in users)
     union = per_t(u.in_union for u in users)
@@ -496,15 +492,6 @@ def bucket_report(results: dict[str, UserResult],
                         cond_initial=cond_initial, cond_outside=cond_outside,
                         ragged=len(lengths) > 1,
                         partial_final_bucket=T % bucket_width != 0)
-
-
-def evaluate(streams: dict[str, list[LabeledRecord]],
-             protos: PrototypeSet | None, strategy: Strategy,
-             k_list: Sequence[int] = K_LIST,
-             bucket_width: int = BUCKET_WIDTH) -> BucketReport:
-    """Run every user through the strategy and bucket the results."""
-    return bucket_report(run_streams(streams, protos, strategy),
-                         bucket_width=bucket_width, k_list=k_list)
 
 
 def _sweep(streams, protos, strategies) -> list[dict[str, UserResult]]:
@@ -596,10 +583,9 @@ def cross_validate_w(streams, protos, grid, folds: int = 2,
     smaller value.
     """
     grid = sorted(set(grid))
-    if folds < 2:
-        raise SpcError("folds must be >= 2")
-    if objective_k < 1:
-        raise SpcError(f"objective_k must be >= 1, got {objective_k}")
+    folds = check_int(folds, "folds", 2)
+    objective_k = check_int(objective_k, "objective_k", 1)
+    seed = check_int(seed, "seed", 0)
     users = sorted(streams)
     if len(users) < folds:
         raise SpcError(f"need at least {folds} users, have {len(users)}")

@@ -11,6 +11,8 @@ per-record noise around the mode.
 All randomness flows from one seed, forked per purpose with labeled
 sub-seeds, so adding one use of randomness cannot shift another.
 Sampling on the sphere is Gaussian-perturb-then-renormalize.
+SynthConfig.validate checks each integer field, seed included, with
+core.check_int, and refuses NaN in the real-valued ones.
 """
 
 from __future__ import annotations
@@ -19,12 +21,20 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import LabeledRecord, LabelRegistry, SpcError, normalize
+from .core import (LabeledRecord, LabelRegistry, SpcError, check_int,
+                   normalize)
 
 # sub-seed labels; order is part of the on-disk determinism contract
 _SEED_DIRS = 1
 _SEED_TRAIN = 2
 _SEED_USER = 3
+
+
+# integer field of SynthConfig -> its least value
+_INT_LOWS = dict(dim=2, num_common_classes=1, users=1, records_per_user=1,
+                 novel_classes_per_user=0, confusable_group_count=0,
+                 group_size=2, train_records_per_class=1,
+                 train_modes_per_class=1, seed=0)
 
 
 @dataclass(frozen=True)
@@ -46,28 +56,18 @@ class SynthConfig:
     seed: int = 42
 
     def validate(self) -> None:
-        if self.dim < 2:
-            raise SpcError("dim must be >= 2")
-        if self.num_common_classes < 1:
-            raise SpcError("need at least one common class")
-        if self.users < 1 or self.records_per_user < 1:
-            raise SpcError("users and records_per_user must be >= 1")
-        if self.zipf_exponent < 0:
-            raise SpcError("zipf_exponent must be >= 0")
-        if self.novel_classes_per_user < 0:
-            raise SpcError("novel_classes_per_user must be >= 0")
-        if not (0.0 <= self.novel_mass < 1.0):
+        for name, low in _INT_LOWS.items():
+            check_int(getattr(self, name), name, low)
+        # written so that NaN fails too
+        for name in ("zipf_exponent", "sigma_user", "sigma_sample",
+                     "group_tightness"):
+            if not getattr(self, name) >= 0:
+                raise SpcError(f"{name} must be >= 0, got "
+                               f"{getattr(self, name)!r}")
+        if not 0.0 <= self.novel_mass < 1.0:
             raise SpcError("novel_mass must be in [0, 1)")
-        if self.sigma_user < 0 or self.sigma_sample < 0:
-            raise SpcError("sigma values must be >= 0")
-        if self.confusable_group_count < 0 or self.group_tightness < 0:
-            raise SpcError("group parameters must be >= 0")
-        if self.group_size < 2:
-            raise SpcError("group_size must be >= 2")
         if self.confusable_group_count * self.group_size > self.num_common_classes:
             raise SpcError("confusable groups exceed the common class count")
-        if self.train_records_per_class < 1 or self.train_modes_per_class < 1:
-            raise SpcError("train sampling parameters must be >= 1")
 
 
 def _rng(seed: int, *labels: int) -> np.random.Generator:

@@ -10,7 +10,7 @@ import pytest
 
 from spc import (DotCounter, LabeledRecord, PrototypeSet, SpcConfig, Strategy,
                  SubsetSpec, SumConfig, SynthConfig, TrainIndex,
-                 build_prototypes, cli, evaluate, generate_synthetic,
+                 bucket_report, build_prototypes, cli, generate_synthetic,
                  group_by_user, normalize, run_streams, run_user_stream,
                  select_classes, spc_rank, sweep_w, sweep_ws)
 
@@ -47,7 +47,8 @@ def reports(bench):
     out, timings = {}, {}
     for kind in ("spc", "ncm-fixed", "1nn-star"):
         t0 = time.perf_counter()
-        out[kind] = evaluate(streams, protos, Strategy(kind=kind))
+        out[kind] = bucket_report(
+            run_streams(streams, protos, Strategy(kind=kind)))
         timings[kind] = time.perf_counter() - t0
     return out, timings
 

@@ -1,14 +1,16 @@
 import base64
 import json
+import re
+import signal
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
-from spc import (SubsetSpec, SynthConfig, TrainIndex, build_prototypes, cli,
-                 cross_validate_w, evaluate, generate_synthetic, group_by_user,
-                 read_records, render_report, select_classes, sweep_table,
-                 sweep_w)
+from spc import (SubsetSpec, SynthConfig, TrainIndex, bucket_report,
+                 build_prototypes, cli, cross_validate_w, generate_synthetic,
+                 group_by_user, read_records, render_report, run_streams,
+                 select_classes, sweep_table, sweep_w)
 
 
 def run(argv, capsys):
@@ -44,11 +46,36 @@ class TestParsers:
             with pytest.raises(cli.UsageError):
                 cli.parse_grid(bad)
 
+    @pytest.mark.parametrize("bad", ["0.7:0.05:inf", "0.7:nan:1.0",
+                                     "nan:0.1:1", "-inf:0.1:1", "0.7,inf",
+                                     "nan", "0.7:1e400:1"])
+    def test_grid_refuses_non_finite_values(self, bad):
+        def hang(signum, frame):
+            raise TimeoutError(f"parse_grid({bad!r}) did not return in 1 s")
+
+        old = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(1)
+        try:
+            with pytest.raises(cli.UsageError, match="values must be finite"):
+                cli.parse_grid(bad)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+
     def test_topk(self):
         assert cli.parse_topk("1,5") == (1, 5)
-        for bad in ("", "0", "1,1", "x"):
+        for bad in ("", "0", "1,1", "x", "-1", "1.5", "5,1,5"):
             with pytest.raises(cli.UsageError):
                 cli.parse_topk(bad)
+        # the shared top-k rule says what is wrong
+        with pytest.raises(cli.UsageError, match=re.escape(
+                "bad --topk '1,1': top-k list must be distinct and "
+                "non-empty, got (1, 1)")):
+            cli.parse_topk("1,1")
+        with pytest.raises(cli.UsageError, match=re.escape(
+                "bad --topk '2,0': top-k must be an integer from 1 to "
+                "2**63 - 1, got 0")):
+            cli.parse_topk("2,0")
 
     def test_strategy_flag_scoping(self):
         assert cli.parse_strategy("spc", None, None).w == 0.85
@@ -125,7 +152,8 @@ class TestSynthCommand:
         code, _, err = run(["synth", "--users", "0", "--out-dir", str(out)],
                            capsys)
         assert code == 1
-        assert err.startswith("spc: error: users and records_per_user must")
+        assert err.startswith("spc: error: users must be an integer from 1 "
+                              "to 2**63 - 1, got 0")
         assert not out.exists()
 
     def test_flags_keep_their_order(self, capsys):
@@ -137,6 +165,32 @@ class TestSynthCommand:
             "--novel-per-user", "--novel-mass", "--zipf", "--sigma-user",
             "--sigma-sample", "--confusable-groups", "--group-tightness",
             "--seed", "--out-dir"]
+
+
+class TestBadSettings:
+    @pytest.mark.parametrize("argv, message", [
+        (["synth", "--seed", "-1", "--out-dir", "{out}"],
+         "seed must be an integer from 0 to 2**63 - 1, got -1"),
+        (["synth", "--zipf", "nan", "--out-dir", "{out}"],
+         "zipf_exponent must be >= 0, got nan"),
+        (["bench", "--users", "2", "--seed", "-1", "--out-dir", "{out}"],
+         "seed must be an integer from 0 to 2**63 - 1, got -1"),
+        (["cv", "--w-grid", "0.8,0.9", "--seed", "-1",
+          "--prototypes", "{bench}/common.protos",
+          "--stream", "{bench}/stream.records", "--out", "{out}"],
+         "seed must be an integer from 0 to 2**63 - 1, got -1"),
+        (["build-prototypes", "--train", "{bench}/train.records",
+          "--per-class-cap", "2", "--seed", "-1", "--out", "{out}"],
+         "seed must be an integer from 0 to 2**63 - 1, got -1")],
+        ids=["synth-seed", "synth-zipf", "bench-seed", "cv-seed",
+             "build-prototypes-seed"])
+    def test_one_error_line_and_no_output(self, bench, tmp_path, capsys,
+                                          argv, message):
+        out = tmp_path / "out"
+        code, stdout, err = run(
+            [a.format(bench=bench, out=out) for a in argv], capsys)
+        assert (code, stdout, err) == (1, "", f"spc: error: {message}\n")
+        assert not out.exists()
 
 
 class TestBuildPrototypesCommand:
@@ -360,8 +414,8 @@ def bench_tables():
         SubsetSpec())
     streams = group_by_user(stream)
     grid = [0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0]
-    tables = [evaluate(streams, protos, s).to_table(s.label())
-              for s in cli.STRATEGIES.values()]
+    tables = [bucket_report(run_streams(streams, protos, s)).to_table(
+        s.label()) for s in cli.STRATEGIES.values()]
     tables.append(sweep_table(sweep_w(streams, protos, grid), "w", (1, 5), 50))
     cv = cross_validate_w(streams, protos, grid, seed=42)
     tables.append(cv.to_table())

@@ -28,6 +28,15 @@ class TestLabelRegistry:
         with pytest.raises(SpcError):
             LabelRegistry().intern("")
 
+    def test_resolve_refuses_unknown_ids(self):
+        reg = LabelRegistry()
+        for s in ("rice", "natto"):
+            reg.intern(s)
+        assert reg.resolve(1) == "natto"
+        for bad in (-1, 2):
+            with pytest.raises(SpcError, match=f"class id {bad} has no label"):
+                reg.resolve(bad)
+
     def test_ids_are_dense(self):
         reg = LabelRegistry()
         ids = [reg.intern(s) for s in ("a", "b", "c")]

@@ -131,6 +131,14 @@ class TestRecordsRoundTrip:
             write_records(recs, path, registry=reg)
         assert not path.exists()
 
+    def test_unknown_class_id_refused_before_the_file_opens(self, tmp_path):
+        recs, reg = make_records(4, dim=2)
+        recs[2] = LabeledRecord(recs[2].user, recs[2].t, 3, recs[2].vec)
+        path = tmp_path / "a.records"
+        with pytest.raises(SpcError, match="class id 3 has no label"):
+            write_records(recs, path, registry=reg)
+        assert not path.exists()
+
     def test_empty_record_list_with_dim_writes_a_header(self, tmp_path):
         path = tmp_path / "a.records"
         write_records([], path, dim=3)
@@ -260,6 +268,16 @@ class TestPrototypesRoundTrip:
         np.testing.assert_array_equal(protos.matrix, back.matrix)
         assert {reg.resolve(c): n for c, n in protos.counts.items()} == \
             {reg2.resolve(c): n for c, n in back.counts.items()}
+
+    def test_unknown_class_id_refused_before_the_file_opens(self, tmp_path):
+        reg = LabelRegistry()
+        ids = [reg.intern("c0"), 1]
+        protos = PrototypeSet(2, class_ids=ids,
+                              vectors=np.eye(2, dtype=np.float32))
+        path = tmp_path / "p.protos"
+        with pytest.raises(SpcError, match="class id 1 has no label"):
+            write_prototypes(protos, path, registry=reg)
+        assert not path.exists()
 
     def test_empty_set_round_trip(self, tmp_path):
         path = tmp_path / "p.protos"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,15 @@ class TestSelectClasses:
     def test_empty_index_rejected(self):
         with pytest.raises(SpcError):
             select_classes(TrainIndex(counts={}), SubsetSpec())
+
+    @pytest.mark.parametrize("field, value, low", [
+        ("min_records", 0, 1), ("min_records", 1.5, 1),
+        ("per_class_cap", 0, 1), ("per_class_cap", True, 1)])
+    def test_spec_settings_checked(self, field, value, low):
+        with pytest.raises(SpcError, match=re.escape(
+                f"{field} must be an integer from {low} to 2**63 - 1, "
+                f"got {value!r}")):
+            SubsetSpec(**{field: value})
 
     def test_from_records(self):
         records = make_records({3: 2, 7: 1})
@@ -94,6 +105,16 @@ class TestBuildPrototypes:
         records = make_records({0: 3, 1: 3, 2: 3})
         protos = build_prototypes(records, {0, 2}, SubsetSpec())
         assert set(protos.class_ids.tolist()) == {0, 2}
+
+    @pytest.mark.parametrize("cap", [None, 2])
+    @pytest.mark.parametrize("seed", [-1, 0.5])
+    def test_seed_checked(self, cap, seed):
+        records = make_records({0: 5})
+        with pytest.raises(SpcError, match=re.escape(
+                f"seed must be an integer from 0 to 2**63 - 1, "
+                f"got {seed!r}")):
+            build_prototypes(records, {0}, SubsetSpec(per_class_cap=cap),
+                             seed=seed)
 
     def test_missing_class_rejected(self):
         records = make_records({0: 3})

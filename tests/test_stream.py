@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,7 @@ from spc import (BucketReport, DimensionMismatchError, DotCounter,
                  LabeledRecord, NormalizationError, PrototypeSet,
                  ReportTable, SpcConfig,
                  SpcError, Strategy, SumConfig, SynthConfig, UserStore,
-                 bucket_report, cross_validate_w, evaluate,
+                 bucket_report, cross_validate_w,
                  generate_synthetic, group_by_user, normalize, register,
                  render_report, run_streams, run_user_stream, spc_rank,
                  sweep_table, sweep_w, sweep_ws)
@@ -302,6 +303,29 @@ class TestBucketReport:
         with pytest.raises(SpcError):
             bucket_report({})
 
+    @pytest.mark.parametrize("setting, message", [
+        (dict(bucket_width=0), "bucket_width must be an integer from 1 to "
+                               "2**63 - 1, got 0"),
+        (dict(bucket_width=2.5), "bucket_width must be an integer from 1 "
+                                 "to 2**63 - 1, got 2.5"),
+        (dict(bucket_width=True), "bucket_width must be an integer from 1 "
+                                  "to 2**63 - 1, got True"),
+        (dict(k_list=()), "top-k list must be distinct and non-empty, "
+                          "got ()"),
+        (dict(k_list=(1, 1)), "top-k list must be distinct and non-empty, "
+                              "got (1, 1)"),
+        (dict(k_list=(0,)), "top-k must be an integer from 1 to 2**63 - 1, "
+                            "got 0"),
+        (dict(k_list=(1.5,)), "top-k must be an integer from 1 to "
+                              "2**63 - 1, got 1.5")],
+        ids=["width-0", "width-2.5", "width-True", "k-empty", "k-repeated",
+             "k-0", "k-1.5"])
+    def test_bad_setting_rejected(self, synth, setting, message):
+        streams, protos = synth
+        results = run_streams(streams, protos, Strategy(kind="spc"))
+        with pytest.raises(SpcError, match=re.escape(message)):
+            bucket_report(results, **setting)
+
 
 class TestStrategyConfig:
     @pytest.mark.parametrize("kind, config", [
@@ -365,17 +389,17 @@ class TestSweeps:
         streams, protos = synth
         for w, report in sweep_w(streams, protos, [0.5, 0.7, 1.0],
                                  bucket_width=20):
-            assert report == evaluate(streams, protos,
-                                      Strategy(kind="spc", w=w),
-                                      bucket_width=20)
+            assert report == bucket_report(
+                run_streams(streams, protos, Strategy(kind="spc", w=w)),
+                bucket_width=20)
 
     def test_sweep_ws_matches_single_evaluation(self, synth):
         streams, protos = synth
         for ws, report in sweep_ws(streams, protos, [0.0, 0.4, 1.0],
                                    k_list=(1, 3), bucket_width=15):
-            assert report == evaluate(streams, protos,
-                                      Strategy(kind="spc-sum", w_s=ws),
-                                      k_list=(1, 3), bucket_width=15)
+            assert report == bucket_report(
+                run_streams(streams, protos, Strategy(kind="spc-sum", w_s=ws)),
+                k_list=(1, 3), bucket_width=15)
 
     def test_sweep_table_rows(self, synth):
         streams, protos = synth
@@ -416,19 +440,32 @@ class TestCrossValidation:
         best = min(self.GRID, key=lambda w: (-mean_held[w], w))
         assert result.chosen_w == best
 
-    @pytest.mark.parametrize("k", [0, -1])
+    @pytest.mark.parametrize("k", [0, -1, 1.5])
     def test_objective_k_validated(self, synth, k):
         streams, protos = synth
-        with pytest.raises(SpcError, match="objective_k must be >= 1"):
+        with pytest.raises(SpcError, match=re.escape(
+                f"objective_k must be an integer from 1 to 2**63 - 1, "
+                f"got {k!r}")):
             cross_validate_w(streams, protos, self.GRID, objective_k=k)
 
     def test_fold_count_validated(self, synth):
         streams, protos = synth
-        with pytest.raises(SpcError):
-            cross_validate_w(streams, protos, self.GRID, folds=1)
+        for folds in (1, 2.5):
+            with pytest.raises(SpcError, match=re.escape(
+                    f"folds must be an integer from 2 to 2**63 - 1, "
+                    f"got {folds!r}")):
+                cross_validate_w(streams, protos, self.GRID, folds=folds)
         with pytest.raises(SpcError):
             cross_validate_w(streams, protos, self.GRID,
                              folds=len(streams) + 1)
+
+    @pytest.mark.parametrize("seed", [-1, 2**63, 0.5])
+    def test_seed_validated(self, synth, seed):
+        streams, protos = synth
+        with pytest.raises(SpcError, match=re.escape(
+                f"seed must be an integer from 0 to 2**63 - 1, "
+                f"got {seed!r}")):
+            cross_validate_w(streams, protos, self.GRID, seed=seed)
 
 
 # Vectors whose pairwise dot products are exact in any summation order, so
@@ -810,8 +847,8 @@ class TestBucketReportMatchesReference:
 
 
 class TestColumnarResults:
-    """evaluate, the sweep path, the per-t reference report and iteration
-    report the same thing."""
+    """bucket_report of run_streams, the sweep path, the per-t reference
+    report and iteration report the same thing."""
 
     @pytest.fixture(scope="class")
     def ragged(self, synth):
@@ -828,12 +865,11 @@ class TestColumnarResults:
         streams, protos = ragged
         strategy = dataclasses.replace(strategy, learn=learn)
         k_list, width = (1, 3), 7
-        report = evaluate(streams, protos, strategy, k_list=k_list,
-                          bucket_width=width)
+        outs = run_streams(streams, protos, strategy)
+        report = bucket_report(outs, k_list=k_list, bucket_width=width)
         assert report.ragged
         swept = stream_module._sweep(streams, protos, [strategy])
         assert report == bucket_report(swept[0], width, k_list)
-        outs = run_streams(streams, protos, strategy)
         assert report == reference_bucket_report(outs, width, k_list)
 
     @pytest.mark.parametrize("strategy", list(STRATEGIES.values()),

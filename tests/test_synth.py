@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,19 @@ class TestValidation:
                          {"group_size": 1}):
             with pytest.raises(SpcError):
                 generate_synthetic(SynthConfig(**{**SMALL, **override}))
+        # every integer field, the seed too, takes core.check_int's rule
+        for name, value, low in (("seed", -1, 0), ("users", 2.5, 1),
+                                 ("users", True, 1), ("dim", 1, 2),
+                                 ("seed", 2**63, 0)):
+            with pytest.raises(SpcError, match=re.escape(
+                    f"{name} must be an integer from {low} to 2**63 - 1, "
+                    f"got {value!r}")):
+                generate_synthetic(SynthConfig(**{**SMALL, name: value}))
+        for name in ("zipf_exponent", "novel_mass", "sigma_user",
+                     "sigma_sample", "group_tightness"):
+            with pytest.raises(SpcError, match=f"^{name} must be"):
+                generate_synthetic(SynthConfig(**{**SMALL,
+                                                  name: float("nan")}))
 
     def test_more_groups_than_classes_rejected(self):
         with pytest.raises(SpcError):
