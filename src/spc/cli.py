@@ -20,8 +20,9 @@ from .data_io import (read_prototypes, read_records, write_manifest,
 from .prototypes import SubsetSpec, TrainIndex, build_prototypes, coverage, \
     select_classes
 from .stream import (BUCKET_WIDTH, K_LIST, Strategy, bucket_report,
-                     cross_validate_w, group_by_user, run_streams, sweep_table,
-                     sweep_w, sweep_ws)
+                     cross_validate_w, cv_settings, group_by_user,
+                     report_settings, run_streams, sweep_table, sweep_w,
+                     sweep_ws)
 from .synth import SynthConfig, generate_synthetic
 
 # --strategy name -> the strategy at its default settings, in report order
@@ -46,6 +47,9 @@ SYNTH_FLAGS = {
 # --format value -> file extension
 FORMATS = {"tsv": "tsv", "markdown": "md"}
 BENCH_W_GRID = "0.70:0.05:1.00"
+# most values a start:step:end grid may hold: each is one more strategy in
+# every replay, and a weight lies in [0, 1], so 1e-4 steps are fine enough
+MAX_GRID_VALUES = 10_000
 
 
 class UsageError(SpcError):
@@ -68,6 +72,8 @@ def parse_grid(spec: str) -> list[float]:
         start, step, end = parts
         if step <= 0 or end < start:
             raise ValueError("need step > 0 and end >= start")
+        if (end - start) / step >= MAX_GRID_VALUES:
+            raise ValueError(f"more than {MAX_GRID_VALUES} values")
         values = []
         while (v := round(start + len(values) * step, 10)) <= end + 1e-12:
             values.append(v)
@@ -146,10 +152,9 @@ def _load_eval_inputs(args):
 def cmd_eval(args) -> int:
     strategy = parse_strategy(args.strategy, args.w, args.ws,
                               learn=not args.no_learn)
-    k_list = parse_topk(args.topk)
+    settings = report_settings(args.bucket, parse_topk(args.topk))
     streams, protos = _load_eval_inputs(args)
-    report = bucket_report(run_streams(streams, protos, strategy),
-                           bucket_width=args.bucket, k_list=k_list)
+    report = bucket_report(run_streams(streams, protos, strategy), *settings)
     table = report.to_table(strategy.label())
     write_report(table, args.out, fmt=args.format, precise=args.precise)
     print(f"wrote {args.out}")
@@ -160,13 +165,15 @@ def cmd_sweep(args) -> int:
     if (args.w_grid is None) == (args.ws_grid is None):
         raise UsageError("give exactly one of --w-grid or --ws-grid")
     k_list = parse_topk(args.topk)
-    streams, protos = _load_eval_inputs(args)
     sweep, spec, param = ((sweep_w, args.w_grid, "w")
                           if args.w_grid is not None
                           else (sweep_ws, args.ws_grid, "w_s"))
-    results = sweep(streams, protos, parse_grid(spec), k_list=k_list,
-                    bucket_width=args.bucket)
-    table = sweep_table(results, param, k_list, args.bucket)
+    grid = parse_grid(spec)
+    bucket, k_list = report_settings(args.bucket, k_list)
+    streams, protos = _load_eval_inputs(args)
+    results = sweep(streams, protos, grid, k_list=k_list,
+                    bucket_width=bucket)
+    table = sweep_table(results, param, k_list, bucket)
     write_report(table, args.out, fmt=args.format, precise=args.precise)
     print(f"wrote {args.out} ({len(results)} rows)")
     return 0
@@ -174,9 +181,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_cv(args) -> int:
     grid = parse_grid(args.w_grid)
+    settings = cv_settings(args.folds, args.objective_k, args.seed)
     streams, protos = _load_eval_inputs(args)
-    result = cross_validate_w(streams, protos, grid, folds=args.folds,
-                              objective_k=args.objective_k, seed=args.seed)
+    result = cross_validate_w(streams, protos, grid, *settings)
     if args.out:
         write_report(result.to_table(), args.out, fmt=args.format,
                      precise=args.precise)

@@ -8,6 +8,7 @@ its float64 copy.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -120,7 +121,7 @@ def non_unit_rows(matrix: np.ndarray) -> np.ndarray:
 
 
 def note_repeats(first: dict, matrix, start: int = 0,
-                 before=None) -> tuple[list, list]:
+                 before=()) -> tuple[list, list]:
     """Enter matrix's rows from row start on into first, which maps a
     vector's key to the first position holding it. Positions count the
     rows of before, entered already, then matrix's. Returns the positions
@@ -132,7 +133,7 @@ def note_repeats(first: dict, matrix, start: int = 0,
     Vectors are equal when their values are, as np.array_equal has it, so
     0.0 and -0.0 match: the bytes hashed are those of the row plus 0.0,
     which is 0.0 wherever the row holds -0.0."""
-    n_before = len(before) if before is not None else 0
+    n_before = len(before)
     pos, src = [], []
     for i in range(start, len(matrix)):
         p = n_before + i
@@ -264,7 +265,7 @@ class UserStore:
         """Each row's class slot."""
         return self._slots[: self._n]
 
-    def layout(self, protos: PrototypeSet | None) -> ClassLayout:
+    def layout(self, protos: PrototypeSet) -> ClassLayout:
         """The class layout of this store against protos: the one of the
         last call while protos is the same object, extended by the
         classes and rows that arrived since."""
@@ -281,8 +282,9 @@ class UserStore:
 class PrototypeSet:
     """One unit-normalized mean embedding per initial class (shared by users).
 
-    `counts` optionally records how many training samples produced each
-    prototype; mean-update baselines need it for full-history seeding.
+    `counts` maps a class id to how many training samples produced its
+    prototype, where that is known; mean-update baselines need it for
+    full-history seeding.
     `row_of` maps each class id to its row; `first_row` is note_repeats'
     map of the rows, and `repeats` holds the rows that repeat an earlier
     one and the rows they repeat.
@@ -298,10 +300,9 @@ class PrototypeSet:
         self.row_of = {c: r for r, c in enumerate(ids.tolist())}
         if len(self.row_of) != len(ids):
             raise SpcError("duplicate class id in prototype set")
-        if counts:
-            counts = {check_int(c, "class id", 0):
-                      check_int(k, "prototype count", 1)
-                      for c, k in counts.items()}
+        counts = {check_int(c, "class id", 0):
+                  check_int(k, "prototype count", 1)
+                  for c, k in (counts or {}).items()}
         matrix64 = vecs.astype(np.float64)
         bad = non_unit_rows(matrix64)
         if len(bad):
@@ -313,16 +314,24 @@ class PrototypeSet:
         self.matrix64 = matrix64
         self.first_row: dict[object, int] = {}
         self.repeats = note_repeats(self.first_row, matrix64)
-        self.counts: dict[int, int] | None = counts or None
+        self.counts: dict[int, int] = counts
 
     def __len__(self) -> int:
         return len(self.class_ids)
 
 
+@functools.cache
+def empty_prototypes(dim: int) -> PrototypeSet:
+    """The empty prototype set of dim, one shared object per dim, so a
+    store ranked without prototypes keeps its layout across calls."""
+    return PrototypeSet(dim)
+
+
 class ClassLayout:
-    """The class union of one user store and one prototype set, laid out
-    for ranking: the prototype classes first, in row order, then the
-    store-only classes in the order they arrived.
+    """The class union of one user store and one prototype set (the empty
+    one, without prototypes), laid out for ranking: the prototype classes
+    first, in row order, then the store-only classes in the order they
+    arrived.
 
       ids        the class id at each union position;
       slot_pos   the union position of each store slot;
@@ -341,24 +350,22 @@ class ClassLayout:
     last ran, and add_rows the rows, so each costs layout work once.
     """
 
-    def __init__(self, protos: PrototypeSet | None, slot_of=()) -> None:
+    def __init__(self, protos: PrototypeSet, slot_of=()) -> None:
         self.protos = protos
-        self.ids = (protos.class_ids if protos is not None
-                    else np.empty(0, dtype=np.int64))
+        self.ids = protos.class_ids
         self.slot_pos = np.empty(0, dtype=np.intp)
         self.extend(slot_of)
-        pos, src = protos.repeats if protos is not None else ([], [])
+        pos, src = protos.repeats
         self.dup_pos = np.array(pos, dtype=np.intp)
         self.dup_src = np.array(src, dtype=np.intp)
         self._first: dict | None = None
-        self.n_proto = len(protos) if protos is not None else 0
         self.n_rows = 0
 
     def add_rows(self, vectors, n: int) -> None:
         """Note which of a store's rows vectors[:n] past those already
         noted repeat an earlier vector."""
         start, self.n_rows = self.n_rows, n
-        p = self.n_proto + start
+        p = len(self.protos) + start
         first = self._first
         # the usual call: one new row, whose first component is new
         if (n == start + 1 and first is not None
@@ -366,11 +373,9 @@ class ClassLayout:
             return
         if first is None:
             # copied at the first rows, so a store-less ranking copies none
-            first = self._first = (dict(self.protos.first_row)
-                                   if self.protos is not None else {})
-        pos, src = note_repeats(
-            first, vectors[:n], start,
-            self.protos.matrix64 if self.protos is not None else None)
+            first = self._first = dict(self.protos.first_row)
+        pos, src = note_repeats(first, vectors[:n], start,
+                                self.protos.matrix64)
         if pos:
             self.dup_pos = np.concatenate((self.dup_pos, pos))
             self.dup_src = np.concatenate((self.dup_src, src))
@@ -378,10 +383,9 @@ class ClassLayout:
     def extend(self, slot_of) -> None:
         """Lay out a store's classes (the class ids of its slots, in slot
         order) past the slots already laid out, and order the ties."""
-        row_of = self.protos.row_of if self.protos is not None else {}
         new_ids, pos = [], []
         for c in list(slot_of)[len(self.slot_pos):]:
-            row = row_of.get(c)
+            row = self.protos.row_of.get(c)
             if row is None:
                 row = len(self.ids) + len(new_ids)
                 new_ids.append(c)

@@ -159,9 +159,8 @@ def write_prototypes(protos: PrototypeSet, path,
     resolve = registry.resolve if registry is not None else str
     ids = protos.class_ids.tolist()
     labels = [resolve(c) for c in ids]
-    counts = protos.counts or {}
     _write_lines(path, PROTOS_FORMAT, {"dim": protos.dim},
-                 (({"label": label, "count": counts.get(c)}, vec)
+                 (({"label": label, "count": protos.counts.get(c)}, vec)
                   for c, label, vec in zip(ids, labels, protos.matrix)))
 
 

@@ -12,8 +12,9 @@ where s(c, q, V) is the maximum dot product between q and the stored
 vectors of class c, and exactly 0 when V holds no vector of class c.
 Each rule lives once, in SpcConfig.combine and SumConfig.combine, which
 spc_rank and the stream evaluator (via Strategy.config) call. 1-NN is
-w = 1; nearest class mean is the linear sum at w_s = 1 over an empty user
-store.
+w = 1; nearest class mean is the linear sum at w_s = 1 over the empty user
+store, and user-only 1-NN (1-NN*) is w = 1 over the empty prototype set.
+spc_rank puts the empty one in place of a missing (None) store or set.
 
 Tie rule (rankings are fully deterministic): score descending, then
 classes present in the user store before prototype-only classes, then
@@ -27,8 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (ClassLayout, DimensionMismatchError, PrototypeSet,
-                   SpcError, UserStore, check_unit)
+from .core import (DimensionMismatchError, PrototypeSet, SpcError,
+                   UserStore, check_unit, empty_prototypes)
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,7 @@ class SpcConfig:
 
     def combine(self, su: np.ndarray, sm: np.ndarray,
                 has_protos: bool) -> np.ndarray:
-        """Weighted-max scores; with no prototype set at all there is
+        """Weighted-max scores; over the empty prototype set there is
         nothing to take the max against, so the scores are su itself."""
         if not has_protos:
             return su
@@ -102,37 +103,36 @@ def spc_rank(query, store: UserStore | None, protos: PrototypeSet | None,
     tie order ranks them."""
     if store is None and protos is None:
         raise SpcError("nothing to predict: no user store and no prototypes")
-    if store is not None and protos is not None and store.dim != protos.dim:
+    if store is None:
+        store = UserStore(protos.dim)
+    elif protos is None:
+        protos = empty_prototypes(store.dim)
+    elif store.dim != protos.dim:
         raise DimensionMismatchError("store/prototype dimension mismatch")
-    q = check_unit(query, (store if store is not None else protos).dim)
-    n_user = len(store) if store is not None else 0
-    n_proto = len(protos) if protos is not None else 0
+    q = check_unit(query, store.dim)
+    n_user, n_proto = len(store), len(protos)
     if n_user == 0 and n_proto == 0:
         raise SpcError("nothing to predict: empty class union")
     if counter is not None:
         counter.add(n_user + n_proto)
 
-    layout = (store.layout(protos) if store is not None
-              else ClassLayout(protos))
-    du = store.vectors64 @ q if n_user else None
-    dm = protos.matrix64 @ q if n_proto else None
+    layout = store.layout(protos)
+    du = store.vectors64 @ q
+    dm = protos.matrix64 @ q
     if len(layout.dup_pos):
         # a repeated vector takes the dot of its first position, the
         # prototype rows first, so equal vectors tie
-        dots = np.concatenate([d for d in (dm, du) if d is not None])
+        dots = np.concatenate((dm, du))
         dots[layout.dup_pos] = dots[layout.dup_src]
         dm, du = dots[:n_proto], dots[n_proto:]
+    # every dot is finite (unit vectors are checked), and every slot holds
+    # a vector, so no -inf is left
+    best = np.full(len(layout.slot_pos), -np.inf)
+    np.maximum.at(best, store.slots, du)
     n = len(layout.ids)
-    su = np.zeros(n)
-    if n_user:
-        # every dot is finite (unit vectors are checked), and every slot
-        # holds a vector, so no -inf is left
-        best = np.full(len(layout.slot_pos), -np.inf)
-        np.maximum.at(best, store.slots, du)
-        su[layout.slot_pos] = best
-    sm = np.zeros(n)
-    if n_proto:
-        sm[:n_proto] = dm
+    su, sm = np.zeros(n), np.zeros(n)
+    su[layout.slot_pos] = best
+    sm[:n_proto] = dm
     score = cfg.combine(su, sm, n_proto > 0)
     score = score[layout.tie_order]
     order = score.argsort(kind="stable")[::-1]

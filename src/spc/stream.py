@@ -14,8 +14,8 @@ _replay, whose docstring gives the method. run_streams, the sweeps and
 cross-validation share one loop over users, _sweep.
 
 A report is bucket_report(run_streams(streams, protos, strategy)).
-bucket_report and cross_validate_w check each integer setting with
-core.check_int, and the top-k list with core.check_topk, on entry.
+bucket_report and cross_validate_w check their settings on entry, with
+report_settings and cv_settings, which a caller may also run first.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import (DimensionMismatchError, LabeledRecord, PrototypeSet,
-                   SpcError, check_int, check_topk, repeated_rows,
-                   stack_records)
+                   SpcError, check_int, check_topk, empty_prototypes,
+                   repeated_rows, stack_records)
 from .data_io import ReportTable
 from .engine import DotCounter, SpcConfig, SumConfig
 
@@ -41,8 +41,8 @@ MEAN_MODES = ("full-history", "mean-as-one")
 class Strategy:
     """Which classifier to replay the streams through.
 
-    1nn is spc with w = 1 on the same code path; 1nn-star is spc with the
-    prototype set dropped. `learn` disables user-store registration
+    1nn is spc with w = 1 on the same code path; 1nn-star is 1nn over the
+    empty prototype set. `learn` disables user-store registration
     (diagnostic switch; the protocol default is to learn every record).
 
     ncm-incr's mean_mode seeds each initial class's running mean:
@@ -194,8 +194,7 @@ def _mean_versions(queries, ids, rows, proto_rows, protos, mode):
     the mode). Counts stay Python ints until their one conversion to
     float64, so a count past int64 is rounded once."""
     if mode == "full-history":
-        counts = [(protos.counts or {}).get(c)
-                  for c in protos.class_ids.tolist()]
+        counts = [protos.counts.get(c) for c in protos.class_ids.tolist()]
         if None in counts:
             raise SpcError(
                 "full-history seeding needs per-class training counts")
@@ -271,20 +270,20 @@ def _replay(records, protos, strategies, counter=None,
         with np.errstate(invalid="raise", over="raise"):
             queries = stack_records(records, dim := len(records[0].vec))
             means = kind in ("ncm-fixed", "ncm-incr")
-            scored = None if kind == "1nn-star" else protos
-            use_protos = bool(scored)
-            if means and not use_protos:
+            # a missing set is the empty one, and 1nn-star scores that
+            if protos is None or kind == "1nn-star":
+                protos = empty_prototypes(dim)
+            if means and not len(protos):
                 raise SpcError(f"strategy {kind} needs a non-empty "
                                "prototype set")
-            if scored is not None and scored.dim != dim:
+            if protos.dim != dim:
                 raise DimensionMismatchError(
-                    f"stream dim {dim} != prototype dim {scored.dim}")
-            cls = columns["true_class"]
-            proto_ids = protos.class_ids if use_protos else cls[:0]
-            ids, inverse = np.unique(np.concatenate((cls, proto_ids)),
-                                     return_inverse=True)
+                    f"stream dim {dim} != prototype dim {protos.dim}")
+            ids, inverse = np.unique(
+                np.concatenate((columns["true_class"], protos.class_ids)),
+                return_inverse=True)
             rows, proto_rows = inverse[:T], inverse[T:]
-            P, U = len(proto_ids), len(ids)
+            P, U = len(protos), len(ids)
             if kind == "ncm-incr":
                 seen = T if learn else 0
                 versions, latest = _mean_versions(
@@ -295,14 +294,10 @@ def _replay(records, protos, strategies, counter=None,
                 # a repeated vector takes the dots of its first row, the
                 # prototype rows first: a product may round one vector's
                 # dot by its row, and equal vectors must tie
-                pos, src = repeated_rows(
-                    (protos.matrix64 if use_protos else queries[:0],
-                     queries))
+                pos, src = repeated_rows((protos.matrix64, queries))
                 proto, from_proto = pos < P, src < P
-                proto_dots = None
-                if use_protos:
-                    proto_dots = protos.matrix64 @ queries.T
-                    proto_dots[pos[proto]] = proto_dots[src[proto]]
+                proto_dots = protos.matrix64 @ queries.T
+                proto_dots[pos[proto]] = proto_dots[src[proto]]
                 copies = ((pos[~from_proto] - P, src[~from_proto] - P),
                           (pos[from_proto & ~proto] - P,
                            src[from_proto & ~proto]))
@@ -335,7 +330,7 @@ def _replay(records, protos, strategies, counter=None,
                     sm[v_pos[:k]] = sm[v_src[:k]]
                     sm = sm[np.maximum(version, 0), steps]
                     cand = version >= 0
-                elif use_protos:
+                else:
                     sm[proto_rows] = proto_dots[:, b]
                 present = np.zeros((U, n), dtype=bool)
                 if not means:
@@ -355,7 +350,7 @@ def _replay(records, protos, strategies, counter=None,
                 for strategy, rank, top in zip(strategies, ranks, tops):
                     # one strategy's score block is freed before the next
                     score = sm if means else strategy.config.combine(
-                        su, sm, use_protos)
+                        su, sm, P > 0)
                     rank[b] = _rank(score, cand, true, tie_ahead, miss)
                     if top is not None:
                         top[b] = _top1(score, cand, present, ids)
@@ -440,13 +435,17 @@ class BucketReport:
         return ReportTable(columns=columns, rows=rows, notes=notes)
 
 
+def report_settings(bucket_width, k_list) -> tuple[int, tuple[int, ...]]:
+    """bucket_report's bucket_width and k_list, once checked."""
+    return check_int(bucket_width, "bucket_width", 1), check_topk(k_list)
+
+
 def bucket_report(results: dict[str, UserResult],
                   bucket_width: int = BUCKET_WIDTH,
                   k_list: Sequence[int] = K_LIST) -> BucketReport:
     """Bucket per-user results; the mean at t averages the users whose
     stream reaches t."""
-    bucket_width = check_int(bucket_width, "bucket_width", 1)
-    k_list = check_topk(k_list)
+    bucket_width, k_list = report_settings(bucket_width, k_list)
     users = list(results.values())
     lengths = {len(u) for u in users if len(u)}
     if not lengths:
@@ -572,6 +571,13 @@ class CvResult:
         return ReportTable(columns=columns, rows=rows, notes=notes)
 
 
+def cv_settings(folds, objective_k, seed) -> tuple[int, int, int]:
+    """cross_validate_w's folds, objective_k and seed, once checked."""
+    return (check_int(folds, "folds", 2),
+            check_int(objective_k, "objective_k", 1),
+            check_int(seed, "seed", 0))
+
+
 def cross_validate_w(streams, protos, grid, folds: int = 2,
                      objective_k: int = 1, seed: int = 0) -> CvResult:
     """Choose the weighting value by k-fold cross-validation over users.
@@ -583,9 +589,7 @@ def cross_validate_w(streams, protos, grid, folds: int = 2,
     smaller value.
     """
     grid = sorted(set(grid))
-    folds = check_int(folds, "folds", 2)
-    objective_k = check_int(objective_k, "objective_k", 1)
-    seed = check_int(seed, "seed", 0)
+    folds, objective_k, seed = cv_settings(folds, objective_k, seed)
     users = sorted(streams)
     if len(users) < folds:
         raise SpcError(f"need at least {folds} users, have {len(users)}")

@@ -12,7 +12,7 @@ All randomness flows from one seed, forked per purpose with labeled
 sub-seeds, so adding one use of randomness cannot shift another.
 Sampling on the sphere is Gaussian-perturb-then-renormalize.
 SynthConfig.validate checks each integer field, seed included, with
-core.check_int, and refuses NaN in the real-valued ones.
+core.check_int, and refuses NaN and infinity in the real-valued ones.
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ class SynthConfig:
         # written so that NaN fails too
         for name in ("zipf_exponent", "sigma_user", "sigma_sample",
                      "group_tightness"):
-            if not getattr(self, name) >= 0:
-                raise SpcError(f"{name} must be >= 0, got "
+            if not 0 <= getattr(self, name) < np.inf:
+                raise SpcError(f"{name} must be finite and >= 0, got "
                                f"{getattr(self, name)!r}")
         if not 0.0 <= self.novel_mass < 1.0:
             raise SpcError("novel_mass must be in [0, 1)")

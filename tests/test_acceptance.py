@@ -117,13 +117,16 @@ def test_criterion_2_reduction_identities(bench):
     streams, protos = bench
     sub = {u: streams[u] for u in sorted(streams)[:25]}
     with criterion(2, desc):
+        # no prototypes is None or the empty set, on either side
+        empty = PrototypeSet(protos.dim)
         pairs = [
             ((protos, Strategy(kind="spc", w=1.0)),
              (protos, Strategy(kind="1nn"))),
-            ((None, Strategy(kind="spc", w=0.85)),
-             (None, Strategy(kind="1nn-star"))),
-            ((None, Strategy(kind="spc-sum", w_s=0.0)),
-             (None, Strategy(kind="1nn-star"))),
+            *(((pa, user_only), (pb, Strategy(kind="1nn-star")))
+              for user_only in (Strategy(kind="spc", w=0.85),
+                                Strategy(kind="spc-sum", w_s=0.0))
+              for pa, pb in ((None, None), (empty, empty), (empty, None),
+                             (None, empty))),
             ((protos, Strategy(kind="spc", w=0.85, learn=False)),
              (protos, Strategy(kind="ncm-fixed"))),
         ]

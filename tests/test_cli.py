@@ -1,4 +1,5 @@
 import base64
+import contextlib
 import json
 import re
 import signal
@@ -36,31 +37,46 @@ def bench(tmp_path, capsys):
     return out
 
 
+@contextlib.contextmanager
+def returns_in_one_second(what):
+    def hang(signum, frame):
+        raise TimeoutError(f"{what} did not return in 1 s")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(1)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
 class TestParsers:
     def test_grid_range_syntax(self):
         assert cli.parse_grid("0.70:0.05:0.80") == [0.70, 0.75, 0.80]
         assert cli.parse_grid("0.5,1.0") == [0.5, 1.0]
 
     def test_grid_errors(self):
-        for bad in ("", "0.1:0.2", "1:0:2", "abc", "0.9:0.1:0.5"):
-            with pytest.raises(cli.UsageError):
+        for bad in ("", "0.1:0.2", "1:0:2", "abc", "0.9:0.1:0.5",
+                    "0:1e-9:1"):
+            with returns_in_one_second(f"parse_grid({bad!r})"), \
+                    pytest.raises(cli.UsageError):
                 cli.parse_grid(bad)
+
+    def test_grid_value_count_is_capped(self):
+        cap = cli.MAX_GRID_VALUES
+        assert len(cli.parse_grid(f"1:1:{cap}")) == cap
+        with pytest.raises(cli.UsageError, match=re.escape(
+                f"bad grid '1:1:{cap + 1}': more than {cap} values")):
+            cli.parse_grid(f"1:1:{cap + 1}")
 
     @pytest.mark.parametrize("bad", ["0.7:0.05:inf", "0.7:nan:1.0",
                                      "nan:0.1:1", "-inf:0.1:1", "0.7,inf",
                                      "nan", "0.7:1e400:1"])
     def test_grid_refuses_non_finite_values(self, bad):
-        def hang(signum, frame):
-            raise TimeoutError(f"parse_grid({bad!r}) did not return in 1 s")
-
-        old = signal.signal(signal.SIGALRM, hang)
-        signal.alarm(1)
-        try:
-            with pytest.raises(cli.UsageError, match="values must be finite"):
-                cli.parse_grid(bad)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, old)
+        with returns_in_one_second(f"parse_grid({bad!r})"), \
+                pytest.raises(cli.UsageError, match="values must be finite"):
+            cli.parse_grid(bad)
 
     def test_topk(self):
         assert cli.parse_topk("1,5") == (1, 5)
@@ -168,28 +184,45 @@ class TestSynthCommand:
 
 
 class TestBadSettings:
-    @pytest.mark.parametrize("argv, message", [
+    # a stream file that does not exist: a setting must be refused before
+    # any file is read
+    MISSING = ["--stream", "{bench}/missing.records", "--out", "{out}"]
+
+    @pytest.mark.parametrize("argv, code, message", [
         (["synth", "--seed", "-1", "--out-dir", "{out}"],
-         "seed must be an integer from 0 to 2**63 - 1, got -1"),
+         1, "seed must be an integer from 0 to 2**63 - 1, got -1"),
         (["synth", "--zipf", "nan", "--out-dir", "{out}"],
-         "zipf_exponent must be >= 0, got nan"),
+         1, "zipf_exponent must be finite and >= 0, got nan"),
+        (["synth", "--zipf", "inf", "--out-dir", "{out}"],
+         1, "zipf_exponent must be finite and >= 0, got inf"),
+        (["synth", "--sigma-user", "inf", "--out-dir", "{out}"],
+         1, "sigma_user must be finite and >= 0, got inf"),
         (["bench", "--users", "2", "--seed", "-1", "--out-dir", "{out}"],
-         "seed must be an integer from 0 to 2**63 - 1, got -1"),
+         1, "seed must be an integer from 0 to 2**63 - 1, got -1"),
         (["cv", "--w-grid", "0.8,0.9", "--seed", "-1",
           "--prototypes", "{bench}/common.protos",
           "--stream", "{bench}/stream.records", "--out", "{out}"],
-         "seed must be an integer from 0 to 2**63 - 1, got -1"),
+         1, "seed must be an integer from 0 to 2**63 - 1, got -1"),
         (["build-prototypes", "--train", "{bench}/train.records",
           "--per-class-cap", "2", "--seed", "-1", "--out", "{out}"],
-         "seed must be an integer from 0 to 2**63 - 1, got -1")],
-        ids=["synth-seed", "synth-zipf", "bench-seed", "cv-seed",
-             "build-prototypes-seed"])
+         1, "seed must be an integer from 0 to 2**63 - 1, got -1"),
+        (["eval", "--strategy", "spc", "--bucket", "0", *MISSING],
+         1, "bucket_width must be an integer from 1 to 2**63 - 1, got 0"),
+        (["sweep", "--w-grid", "0.8,0.9", "--bucket", "0", *MISSING],
+         1, "bucket_width must be an integer from 1 to 2**63 - 1, got 0"),
+        (["cv", "--w-grid", "0.8,0.9", "--folds", "1", *MISSING],
+         1, "folds must be an integer from 2 to 2**63 - 1, got 1"),
+        (["sweep", "--w-grid", "0.8:0:0.9", *MISSING],
+         2, "bad grid '0.8:0:0.9': need step > 0 and end >= start")],
+        ids=["synth-seed", "synth-zipf", "synth-zipf-inf",
+             "synth-sigma-user-inf", "bench-seed", "cv-seed",
+             "build-prototypes-seed", "eval-bucket", "sweep-bucket",
+             "cv-folds", "sweep-grid"])
     def test_one_error_line_and_no_output(self, bench, tmp_path, capsys,
-                                          argv, message):
+                                          argv, code, message):
         out = tmp_path / "out"
-        code, stdout, err = run(
-            [a.format(bench=bench, out=out) for a in argv], capsys)
-        assert (code, stdout, err) == (1, "", f"spc: error: {message}\n")
+        assert run([a.format(bench=bench, out=out) for a in argv],
+                   capsys) == (code, "", f"spc: error: {message}\n")
         assert not out.exists()
 
 

@@ -197,12 +197,14 @@ class TestClassLayout:
     Ranking, bit for bit."""
 
     @staticmethod
-    def assert_same(query, store, protos, cfg):
-        got = spc_rank(query, store, protos, cfg)
-        want = id_indexed_rank(query, store, protos, cfg)
+    def assert_equal(got, want):
         assert got.class_ids.dtype == want.class_ids.dtype
         np.testing.assert_array_equal(got.class_ids, want.class_ids)
         assert got.scores.tobytes() == want.scores.tobytes()
+
+    def assert_same(self, query, store, protos, cfg):
+        self.assert_equal(spc_rank(query, store, protos, cfg),
+                          id_indexed_rank(query, store, protos, cfg))
 
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_id_indexed_reference(self, seed):
@@ -233,19 +235,25 @@ class TestClassLayout:
                 None]
         cfgs = [SpcConfig(float(rng.uniform(0.05, 1.0))), SpcConfig(1.0),
                 SumConfig(float(rng.uniform(0.0, 1.0))), SumConfig(1.0)]
-        store = UserStore(dim)
+        store, empty = UserStore(dim), PrototypeSet(dim)
         for _ in range(int(rng.integers(1, 60))):
             q = vec()
             # the same store ranked alternately against both sets and
-            # alone, then appended to between calls
+            # alone, then appended to between calls; the empty set and
+            # the empty store rank as None does
             for protos in sets:
                 if len(store) or (protos is not None and len(protos)):
-                    self.assert_same(q, store, protos,
-                                     cfgs[rng.integers(0, len(cfgs))])
+                    cfg = cfgs[rng.integers(0, len(cfgs))]
+                    self.assert_same(q, store, protos, cfg)
+                    if protos is None:
+                        self.assert_equal(spc_rank(q, store, empty, cfg),
+                                          spc_rank(q, store, None, cfg))
             for protos in sets[:2]:
                 if len(protos):
-                    self.assert_same(q, None, protos,
-                                     cfgs[rng.integers(0, len(cfgs))])
+                    cfg = cfgs[rng.integers(0, len(cfgs))]
+                    self.assert_same(q, None, protos, cfg)
+                    self.assert_equal(spc_rank(q, UserStore(dim), protos, cfg),
+                                      spc_rank(q, None, protos, cfg))
             # a numpy id and the same Python id must share one slot
             c = int(rng.integers(0, 40))
             store.append(vec(), np.int64(c) if len(store) % 2 else c)
@@ -264,7 +272,8 @@ class TestClassLayout:
         try:
             rankings = [spc_rank(q, s, p, cfg)
                         for s, p in ((store, protos), (store, None),
-                                     (None, protos))
+                                     (None, protos), (store, PrototypeSet(8)),
+                                     (UserStore(8), protos))
                         for cfg in (SpcConfig(0.85), SumConfig(0.5))]
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -272,6 +281,21 @@ class TestClassLayout:
         assert peak < 1_000_000
         for r in rankings:
             assert sorted(r.class_ids.tolist()) == [0, 2_000_000]
+        # the empty set and the empty store rank as None does
+        for got, want in zip(rankings[6:], rankings[2:6]):
+            self.assert_equal(got, want)
+
+    def test_store_alone_keeps_its_layout(self):
+        # None stands for one empty set per dim, so a store ranked without
+        # prototypes extends its layout across calls instead of rebuilding
+        store = UserStore(2)
+        store.append(unit2(1, 0), 3)
+        spc_rank(unit2(1, 0), store, None, SpcConfig())
+        layout = store._layout
+        store.append(unit2(0, 1), 5)
+        r = spc_rank(unit2(0, 1), store, None, SpcConfig())
+        assert store._layout is layout
+        assert layout.ids.tolist() == [3, 5] and r.class_ids.tolist() == [5, 3]
 
 
 class TestRepeatedVectors:

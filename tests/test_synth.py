@@ -102,9 +102,9 @@ class TestValidation:
                 generate_synthetic(SynthConfig(**{**SMALL, name: value}))
         for name in ("zipf_exponent", "novel_mass", "sigma_user",
                      "sigma_sample", "group_tightness"):
-            with pytest.raises(SpcError, match=f"^{name} must be"):
-                generate_synthetic(SynthConfig(**{**SMALL,
-                                                  name: float("nan")}))
+            for bad in (float("nan"), float("inf")):
+                with pytest.raises(SpcError, match=f"^{name} must be"):
+                    generate_synthetic(SynthConfig(**{**SMALL, name: bad}))
 
     def test_more_groups_than_classes_rejected(self):
         with pytest.raises(SpcError):
