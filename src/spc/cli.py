@@ -17,6 +17,7 @@ import sys
 from .core import SpcError, check_topk
 from .data_io import (read_prototypes, read_records, write_manifest,
                       write_prototypes, write_records, write_report)
+from .engine import SpcConfig, SumConfig
 from .prototypes import SubsetSpec, TrainIndex, build_prototypes, coverage, \
     select_classes
 from .stream import (BUCKET_WIDTH, K_LIST, Strategy, bucket_report,
@@ -165,10 +166,12 @@ def cmd_sweep(args) -> int:
     if (args.w_grid is None) == (args.ws_grid is None):
         raise UsageError("give exactly one of --w-grid or --ws-grid")
     k_list = parse_topk(args.topk)
-    sweep, spec, param = ((sweep_w, args.w_grid, "w")
-                          if args.w_grid is not None
-                          else (sweep_ws, args.ws_grid, "w_s"))
+    sweep, spec, param, config = (
+        (sweep_w, args.w_grid, "w", SpcConfig) if args.w_grid is not None
+        else (sweep_ws, args.ws_grid, "w_s", SumConfig))
     grid = parse_grid(spec)
+    for value in grid:  # each value's range, before any file is read
+        config(value)
     bucket, k_list = report_settings(args.bucket, k_list)
     streams, protos = _load_eval_inputs(args)
     results = sweep(streams, protos, grid, k_list=k_list,
@@ -181,6 +184,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_cv(args) -> int:
     grid = parse_grid(args.w_grid)
+    for value in grid:
+        SpcConfig(value)
     settings = cv_settings(args.folds, args.objective_k, args.seed)
     streams, protos = _load_eval_inputs(args)
     result = cross_validate_w(streams, protos, grid, *settings)

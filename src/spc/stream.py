@@ -120,29 +120,20 @@ class UserResult:
 
 
 # A replay builds its class-by-step arrays this many steps (columns) at a
-# time, Gram block included, so it holds no |U| x T or T x T array.
+# time, the block's one product included, so it holds no |U| x T, T x T or
+# T x |P| array.
 GRAM_BLOCK = 128
 
 
-def _prefix_max(queries, rows, b0, su, copies, proto_dots) -> None:
-    """su[c, t - b0] = max of queries[j] . queries[t] over j < t of class
-    row c, for the steps t of su's column block; entries with no such j
-    are left as they are. One flat maximum.at into su, which must be
-    C-contiguous, reduces the Gram columns, masked at j >= t, per class.
-
-    copies pairs the query rows that repeat an earlier query's vector
-    with those queries, then the rows that repeat a prototype's vector
-    with the prototype rows of proto_dots; each such row takes the dots
-    of its first copy, so equal vectors tie."""
+def _prefix_max(gram, rows, su) -> None:
+    """su[c, k] = max of gram[j, k] over the steps j before the block's
+    step k of class row c; entries with no such j are left as they are.
+    gram's rows are the queries up to the block's end, its columns the
+    block's steps, so its last n = su.shape[1] rows are the block's own
+    queries. One flat maximum.at into su, which must be C-contiguous,
+    reduces gram, masked at j >= the step, per class."""
     n = su.shape[1]
-    gram = queries[:b0 + n] @ queries[b0:b0 + n].T
-    (pos, src), (p_pos, p_src) = copies
-    if len(pos):
-        k = np.searchsorted(pos, b0 + n)
-        gram[pos[:k]] = gram[src[:k]]
-    if len(p_pos):
-        k = np.searchsorted(p_pos, b0 + n)
-        gram[p_pos[:k]] = proto_dots[p_src[:k], b0:b0 + n]
+    b0 = len(gram) - n
     gram[b0:][np.tri(n, dtype=bool)] = -np.inf
     idx = rows[:b0 + n, None] * n + np.arange(n)
     np.maximum.at(su.reshape(-1), idx.ravel(), gram.ravel())
@@ -257,10 +248,11 @@ def _replay(records, protos, strategies, counter=None,
     strategy's scores are one elementwise combination of su and sm. The
     true class's rank position is a count, with no sort: the candidates
     scoring higher, plus those scoring equal that the tie rule puts first
-    (user-present, then the smaller id). Each block takes its columns of
-    the matrix products a whole-stream build makes; the prototype product
-    is one call over all steps, since a product's rounding can depend on
-    its shape.
+    (user-present, then the smaller id). A block's dots are one product
+    with its steps as columns. Its rows are a head, the prototypes (for
+    ncm-incr the seeded means), then the tail before the block's end, the
+    queries (the mean versions). A product may round a vector's dot by its
+    row, so each row repeating an earlier one takes that row's dots.
     """
     columns = _columns(records, protos)
     T, kind, learn = len(records), strategies[0].kind, strategies[0].learn
@@ -284,23 +276,16 @@ def _replay(records, protos, strategies, counter=None,
                 return_inverse=True)
             rows, proto_rows = inverse[:T], inverse[T:]
             P, U = len(protos), len(ids)
+            # the tail is empty where the user side is not read
+            seen = T if learn else 0
             if kind == "ncm-incr":
-                seen = T if learn else 0
                 versions, latest = _mean_versions(
                     queries[:seen], ids, rows[:seen], proto_rows, protos,
                     strategies[0].mean_mode)
-                v_pos, v_src = repeated_rows((versions,))
+                head, tail = versions[:P], versions[P:]
             else:
-                # a repeated vector takes the dots of its first row, the
-                # prototype rows first: a product may round one vector's
-                # dot by its row, and equal vectors must tie
-                pos, src = repeated_rows((protos.matrix64, queries))
-                proto, from_proto = pos < P, src < P
-                proto_dots = protos.matrix64 @ queries.T
-                proto_dots[pos[proto]] = proto_dots[src[proto]]
-                copies = ((pos[~from_proto] - P, src[~from_proto] - P),
-                          (pos[from_proto & ~proto] - P,
-                           src[from_proto & ~proto]))
+                head, tail = protos.matrix64, queries[:0 if means else seen]
+            pos, src = repeated_rows((head, tail))
             in_proto = np.zeros(U, dtype=bool)
             in_proto[proto_rows] = True
             row_ids = np.arange(U)[:, None]
@@ -312,6 +297,12 @@ def _replay(records, protos, strategies, counter=None,
                 b1 = min(b0 + GRAM_BLOCK, T)
                 b, n, block_rows = slice(b0, b1), b1 - b0, rows[b0:b1]
                 steps = np.arange(n)
+                prod = np.empty((P + min(b1, len(tail)), n))
+                np.matmul(head, queries[b].T, out=prod[:P])
+                np.matmul(tail[:b1], queries[b].T, out=prod[P:])
+                k = np.searchsorted(pos, len(prod))
+                if k:
+                    prod[pos[:k]] = prod[src[:k]]
                 bufs[0], bufs[1] = 0.0, -np.inf
                 sm, su = (buf[:U * n].reshape(U, n) for buf in bufs)
                 cand = np.broadcast_to(in_proto[:, None], (U, n))
@@ -323,20 +314,15 @@ def _replay(records, protos, strategies, counter=None,
                         version[block_rows, steps + 1] = P + np.arange(b0, b1)
                     np.maximum.accumulate(version, axis=1, out=version)
                     latest, version = version[:, n].copy(), version[:, :n]
-                    # no step before b1 exposes a later version; a repeated
-                    # mean takes the dots of its first row, so copies tie
-                    sm = versions[:P + b1] @ queries[b].T
-                    k = np.searchsorted(v_pos, P + b1)
-                    sm[v_pos[:k]] = sm[v_src[:k]]
-                    sm = sm[np.maximum(version, 0), steps]
+                    # no step before b1 exposes a later version
+                    sm = prod[np.maximum(version, 0), steps]
                     cand = version >= 0
                 else:
-                    sm[proto_rows] = proto_dots[:, b]
+                    sm[proto_rows] = prod[:P]
                 present = np.zeros((U, n), dtype=bool)
                 if not means:
                     if learn:
-                        _prefix_max(queries, rows, b0, su, copies,
-                                    proto_dots)
+                        _prefix_max(prod[P:], rows, su)
                     present = su > -np.inf
                     su[~present] = 0.0
                     cand = present | cand

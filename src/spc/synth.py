@@ -12,7 +12,9 @@ All randomness flows from one seed, forked per purpose with labeled
 sub-seeds, so adding one use of randomness cannot shift another.
 Sampling on the sphere is Gaussian-perturb-then-renormalize.
 SynthConfig.validate checks each integer field, seed included, with
-core.check_int, and refuses NaN and infinity in the real-valued ones.
+core.check_int, and refuses NaN and infinity in the real-valued ones. The
+draws run under np.errstate(over="raise"), so a finite real setting so
+large that a draw overflows is refused too, naming the setting.
 """
 
 from __future__ import annotations
@@ -74,17 +76,29 @@ def _rng(seed: int, *labels: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, *labels]))
 
 
-def _perturb(rng: np.random.Generator, base: np.ndarray, sigma: float) -> np.ndarray:
-    """Gaussian-perturb-then-renormalize around a unit base direction.
+def _overflow(cfg: SynthConfig, setting: str) -> SpcError:
+    return SpcError(f"{setting} is so large that a draw overflows, got "
+                    f"{getattr(cfg, setting)!r}")
+
+
+def _perturb(rng: np.random.Generator, base: np.ndarray, cfg: SynthConfig,
+             setting: str) -> np.ndarray:
+    """Gaussian-perturb-then-renormalize around a unit base direction, at
+    the noise level sigma = cfg.<setting>.
 
     The noise is scaled by 1/sqrt(dim) so sigma is the expected
     perturbation norm regardless of dimension: the angular spread a given
     sigma produces is dimension-independent.
     """
+    sigma = getattr(cfg, setting)
     if sigma == 0.0:
         return normalize(base)
     dim = len(base)
-    return normalize(base + (sigma / np.sqrt(dim)) * rng.standard_normal(dim))
+    try:
+        return normalize(
+            base + (sigma / np.sqrt(dim)) * rng.standard_normal(dim))
+    except FloatingPointError:
+        raise _overflow(cfg, setting) from None
 
 
 def _class_directions(cfg: SynthConfig):
@@ -97,7 +111,7 @@ def _class_directions(cfg: SynthConfig):
         shared = normalize(rng.standard_normal(cfg.dim))
         group = []
         for _ in range(cfg.group_size):
-            dirs[idx] = _perturb(rng, shared, cfg.group_tightness)
+            dirs[idx] = _perturb(rng, shared, cfg, "group_tightness")
             group.append(idx)
             idx += 1
         groups.append(group)
@@ -112,6 +126,7 @@ def _zipf_weights(n: int, exponent: float) -> np.ndarray:
     return w / w.sum()
 
 
+@np.errstate(over="raise")
 def generate_synthetic(cfg: SynthConfig):
     """Build (train records, stream records, registry, manifest).
 
@@ -128,15 +143,19 @@ def generate_synthetic(cfg: SynthConfig):
     train: list[LabeledRecord] = []
     rng_t = _rng(cfg.seed, _SEED_TRAIN)
     for ci in range(cfg.num_common_classes):
-        modes = [_perturb(rng_t, dirs[ci], cfg.sigma_user)
+        modes = [_perturb(rng_t, dirs[ci], cfg, "sigma_user")
                  for _ in range(cfg.train_modes_per_class)]
         for j in range(cfg.train_records_per_class):
-            vec = _perturb(rng_t, modes[j % len(modes)], cfg.sigma_sample)
+            vec = _perturb(rng_t, modes[j % len(modes)], cfg,
+                           "sigma_sample")
             train.append(LabeledRecord(user="train", t=j + 1,
                                        class_id=common_ids[ci], vec=vec))
 
     # per-user streams
-    zipf = _zipf_weights(cfg.num_common_classes, cfg.zipf_exponent)
+    try:
+        zipf = _zipf_weights(cfg.num_common_classes, cfg.zipf_exponent)
+    except FloatingPointError:
+        raise _overflow(cfg, "zipf_exponent") from None
     streams: list[LabeledRecord] = []
     novel_by_user: dict[str, list[str]] = {}
     n_novel = cfg.novel_classes_per_user
@@ -165,8 +184,8 @@ def generate_synthetic(cfg: SynthConfig):
                 j = pick - cfg.num_common_classes
                 cid, base = novel_ids[j], novel_dirs[j]
             if cid not in modes:
-                modes[cid] = _perturb(rng_u, base, cfg.sigma_user)
-            vec = _perturb(rng_u, modes[cid], cfg.sigma_sample)
+                modes[cid] = _perturb(rng_u, base, cfg, "sigma_user")
+            vec = _perturb(rng_u, modes[cid], cfg, "sigma_sample")
             streams.append(LabeledRecord(user=user, t=t, class_id=cid, vec=vec))
 
     manifest = {

@@ -213,11 +213,25 @@ class TestBadSettings:
         (["cv", "--w-grid", "0.8,0.9", "--folds", "1", *MISSING],
          1, "folds must be an integer from 2 to 2**63 - 1, got 1"),
         (["sweep", "--w-grid", "0.8:0:0.9", *MISSING],
-         2, "bad grid '0.8:0:0.9': need step > 0 and end >= start")],
+         2, "bad grid '0.8:0:0.9': need step > 0 and end >= start"),
+        (["sweep", "--w-grid", "0,0.5", *MISSING],
+         1, "w must be in (0, 1], got 0.0"),
+        (["sweep", "--ws-grid", "0.5,1.5", *MISSING],
+         1, "w_s must be in [0, 1], got 1.5"),
+        (["cv", "--w-grid", "1.5", *MISSING],
+         1, "w must be in (0, 1], got 1.5"),
+        # finite, but a draw overflows
+        (["synth", "--users", "2", "--records", "5", "--sigma-sample",
+          "1e308", "--out-dir", "{out}"],
+         1, "sigma_sample is so large that a draw overflows, got 1e+308"),
+        (["synth", "--users", "2", "--records", "5", "--zipf", "1e308",
+          "--out-dir", "{out}"],
+         1, "zipf_exponent is so large that a draw overflows, got 1e+308")],
         ids=["synth-seed", "synth-zipf", "synth-zipf-inf",
              "synth-sigma-user-inf", "bench-seed", "cv-seed",
              "build-prototypes-seed", "eval-bucket", "sweep-bucket",
-             "cv-folds", "sweep-grid"])
+             "cv-folds", "sweep-grid", "sweep-w-range", "sweep-ws-range",
+             "cv-w-range", "synth-sigma-sample-huge", "synth-zipf-huge"])
     def test_one_error_line_and_no_output(self, bench, tmp_path, capsys,
                                           argv, code, message):
         out = tmp_path / "out"

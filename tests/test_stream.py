@@ -1020,3 +1020,31 @@ class TestReplayMemory:
         finally:
             tracemalloc.stop()
         assert peak < bound
+
+    @pytest.mark.parametrize("kind", ["spc", "ncm-incr"])
+    def test_no_array_spans_steps_and_prototypes(self, kind):
+        """T = |P| = 3000, every record a new class and the prototype
+        classes apart from the stream's, so |U| = T + |P|: no replay array
+        may span both the steps and the prototypes."""
+        T = P = 3000
+        dim = 8
+        rng = np.random.default_rng(1)
+        records = [LabeledRecord(user="u", t=t + 1, class_id=t,
+                                 vec=normalize(rng.standard_normal(dim)))
+                   for t in range(T)]
+        vecs = rng.standard_normal((P, dim))
+        protos = PrototypeSet(dim, class_ids=range(T, T + P),
+                              vectors=vecs / np.linalg.norm(vecs, axis=1,
+                                                            keepdims=True),
+                              counts={c: 2 for c in range(T, T + P)})
+        B = stream_module.GRAM_BLOCK
+        # O(|U| B + T (B + dim) + |P| B) float64 cells, at 5 arrays'
+        # worth; one T x |P| float64 array alone is 72 MB
+        bound = 5 * 8 * ((T + P) * B + T * (B + dim) + P * B)
+        tracemalloc.start()
+        try:
+            run_user_stream(records, protos, Strategy(kind=kind))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound

@@ -105,6 +105,12 @@ class TestValidation:
             for bad in (float("nan"), float("inf")):
                 with pytest.raises(SpcError, match=f"^{name} must be"):
                     generate_synthetic(SynthConfig(**{**SMALL, name: bad}))
+        # finite, but so large that a draw overflows; SMALL draws all four
+        for name in ("zipf_exponent", "sigma_user", "sigma_sample",
+                     "group_tightness"):
+            with pytest.raises(SpcError, match=re.escape(
+                    f"{name} is so large that a draw overflows, got 1e+308")):
+                generate_synthetic(SynthConfig(**{**SMALL, name: 1e308}))
 
     def test_more_groups_than_classes_rejected(self):
         with pytest.raises(SpcError):
