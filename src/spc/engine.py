@@ -24,6 +24,7 @@ values; no epsilon is applied in ordering.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,6 +91,13 @@ class DotCounter:
         self.per_call.append(n)
 
 
+@functools.cache
+def _empty_store(dim: int) -> UserStore:
+    """spc_rank's store when none is given, one per dim, kept across calls
+    with its layout; it is never handed out, so nothing appends to it."""
+    return UserStore(dim)
+
+
 def spc_rank(query, store: UserStore | None, protos: PrototypeSet | None,
              cfg: SpcConfig | SumConfig,
              counter: DotCounter | None = None) -> Ranking:
@@ -104,7 +112,7 @@ def spc_rank(query, store: UserStore | None, protos: PrototypeSet | None,
     if store is None and protos is None:
         raise SpcError("nothing to predict: no user store and no prototypes")
     if store is None:
-        store = UserStore(protos.dim)
+        store = _empty_store(protos.dim)
     elif protos is None:
         protos = empty_prototypes(store.dim)
     elif store.dim != protos.dim:

@@ -20,7 +20,6 @@ report_settings and cv_settings, which a caller may also run first.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -163,9 +162,10 @@ def unit_means(acc: np.ndarray, count, class_ids) -> np.ndarray:
     """Rows acc / count, each scaled to unit length: the running means of
     the incremental-mean baselines. Each row's norm is its own dot
     product, so a row comes out the same whether it is computed alone or
-    in a batch."""
+    in a batch: np.vecdot's float64 loop calls the dot kernel a 1-d
+    ndarray.dot calls, so the norms equal math.sqrt(m.dot(m)) bit for bit."""
     means = acc / np.reshape(count, (-1, 1))
-    norms = np.array([math.sqrt(m.dot(m)) for m in means])
+    norms = np.sqrt(np.vecdot(means, means))
     zero = np.flatnonzero(norms == 0.0)
     if len(zero):
         raise SpcError(
@@ -193,15 +193,17 @@ def _mean_versions(queries, ids, rows, proto_rows, protos, mode):
         counts = [1] * len(protos)
     P = len(counts)
     sums = np.concatenate((protos.matrix64 * np.reshape(counts, (-1, 1)),
-                           np.empty_like(queries)))
+                           queries))
     latest = np.full(len(ids), -1, dtype=np.intp)
     latest[proto_rows] = np.arange(P)
     last = latest.tolist()
-    for t, c in enumerate(rows.tolist()):
+    for t, c in enumerate(rows.tolist(), P):
         j = last[c]
-        sums[P + t] = queries[t] if j < 0 else queries[t] + sums[j]
+        if j >= 0:
+            row = sums[t]
+            np.add(row, sums[j], out=row)
         counts.append(1 if j < 0 else counts[j] + 1)
-        last[c] = P + t
+        last[c] = t
     return unit_means(sums, np.array(counts, dtype=np.float64),
                       ids[np.concatenate((proto_rows, rows))]), latest
 
@@ -239,9 +241,11 @@ def _replay(records, protos, strategies, counter=None,
       su       per-class max user similarity over the records before t,
                0 where there is none (nearest-neighbor family only);
       sm       prototype similarity, 0 for classes without a prototype;
-               for ncm-incr, the similarity to the class's running mean;
-      present  the class was in the user store before t (never, for the
-               mean baselines);
+               for ncm-incr, the similarity to the class's running mean,
+               whose version moves only for the stream's classes;
+      present  the class was in the user store before t (nearest-neighbor
+               family only: the mean baselines build no su and no
+               presence, so their ties go to the smaller id);
       cand     the class is ranked at t.
 
     and ranks every strategy in it before the next block is built. A
@@ -283,6 +287,9 @@ def _replay(records, protos, strategies, counter=None,
                     queries[:seen], ids, rows[:seen], proto_rows, protos,
                     strategies[0].mean_mode)
                 head, tail = versions[:P], versions[P:]
+                # only the stream's classes (s_rows) move past their seed
+                s_rows, s_of = np.unique(rows[:seen], return_inverse=True)
+                latest = latest[s_rows]
             else:
                 head, tail = protos.matrix64, queries[:0 if means else seen]
             pos, src = repeated_rows((head, tail))
@@ -303,33 +310,36 @@ def _replay(records, protos, strategies, counter=None,
                 k = np.searchsorted(pos, len(prod))
                 if k:
                     prod[pos[:k]] = prod[src[:k]]
-                bufs[0], bufs[1] = 0.0, -np.inf
                 sm, su = (buf[:U * n].reshape(U, n) for buf in bufs)
+                sm[:] = 0.0
+                sm[proto_rows] = prod[:P]
                 cand = np.broadcast_to(in_proto[:, None], (U, n))
-                if kind == "ncm-incr":
-                    # column k is step b0 + k; column n carries to step b1
-                    version = np.full((U, n + 1), -1, dtype=np.intp)
-                    version[:, 0] = latest
-                    if learn:
-                        version[block_rows, steps + 1] = P + np.arange(b0, b1)
-                    np.maximum.accumulate(version, axis=1, out=version)
-                    latest, version = version[:, n].copy(), version[:, :n]
-                    # no step before b1 exposes a later version
-                    sm = prod[np.maximum(version, 0), steps]
-                    cand = version >= 0
+                true = block_rows, steps
+                if means:
+                    present, tie_ahead = False, row_ids < block_rows
+                    if kind == "ncm-incr" and learn:
+                        # column k is step b0 + k; column n carries to b1
+                        version = np.full((len(s_rows), n + 1), -1,
+                                          dtype=np.intp)
+                        version[:, 0] = latest
+                        version[s_of[b], steps + 1] = P + np.arange(b0, b1)
+                        np.maximum.accumulate(version, axis=1, out=version)
+                        latest, version = version[:, n].copy(), version[:, :n]
+                        # no step before b1 exposes a later version
+                        sm[s_rows] = prod.take(np.maximum(version, 0) * n
+                                               + steps)
+                        cand = np.array(cand)
+                        cand[s_rows] = version >= 0
                 else:
-                    sm[proto_rows] = prod[:P]
-                present = np.zeros((U, n), dtype=bool)
-                if not means:
+                    su[:] = -np.inf
                     if learn:
                         _prefix_max(prod[P:], rows, su)
                     present = su > -np.inf
                     su[~present] = 0.0
                     cand = present | cand
-                true = block_rows, steps
-                p_true = present[true]
-                tie_ahead = (present & ~p_true) | (
-                    (present == p_true) & (row_ids < block_rows))
+                    p_true = present[true]
+                    tie_ahead = (present & ~p_true) | (
+                        (present == p_true) & (row_ids < block_rows))
                 miss = ~cand[true]
                 if means and counter is not None:
                     dots[b] = cand.sum(axis=0)

@@ -4,19 +4,34 @@ The whole-stream evaluator replays ncm-fixed and ncm-incr from a matrix of
 mean versions; this loop ranks each record through a per-call classifier
 (`ncm_rank`, `RunningMeans.rank`) and then updates the means, and the two
 must agree record by record. RunningMeans seeds its means itself, one
-class at a time, and shares only `unit_means` with the evaluator.
+class at a time, and scales each mean by its own per-row norm, so it
+shares no mean arithmetic with the evaluator.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from spc import (DotCounter, PrototypeSet, Ranking, SpcError, SumConfig,
                  spc_rank)
 from spc.core import check_unit
-from spc.stream import MISS, unit_means
+from spc.stream import MISS
 
 from .reference_rank import _first_row_dots
+
+
+def unit_means(acc, count, class_ids) -> np.ndarray:
+    """Rows acc / count, each divided by math.sqrt of its own dot product;
+    a row that cancelled to zero is refused."""
+    means = acc / np.reshape(count, (-1, 1))
+    norms = np.array([math.sqrt(m.dot(m)) for m in means])
+    zero = np.flatnonzero(norms == 0.0)
+    if len(zero):
+        raise SpcError(
+            f"mean of class {class_ids[zero[0]]} cancelled to zero")
+    return means / norms[:, None]
 
 
 def ncm_rank(query, protos: PrototypeSet,

@@ -297,6 +297,33 @@ class TestClassLayout:
         assert store._layout is layout
         assert layout.ids.tolist() == [3, 5] and r.class_ids.tolist() == [5, 3]
 
+    def test_prototypes_alone_share_one_empty_store_per_dim(self):
+        # None stands for one private empty store per dim: it ranks as an
+        # explicit empty store does, across prototype sets that alternate,
+        # each holding a repeated vector, and keeps its layout while the
+        # set stays the same
+        from spc.engine import _empty_store
+        rng = np.random.default_rng(5)
+        sets = []
+        for dim, ids in ((6, [9, 2, 4]), (6, [2, 7, 1, 3]), (3, [0, 5])):
+            vecs = [normalize(rng.standard_normal(dim)) for _ in ids]
+            vecs[-1] = vecs[0]
+            sets.append(PrototypeSet(dim, class_ids=ids, vectors=vecs))
+        for protos in sets * 2:
+            layouts = set()
+            for _ in range(3):
+                q = normalize(rng.standard_normal(protos.dim))
+                for cfg in (SpcConfig(0.85), SumConfig(1.0)):
+                    self.assert_equal(
+                        spc_rank(q, None, protos, cfg),
+                        spc_rank(q, UserStore(protos.dim), protos, cfg))
+                layout = _empty_store(protos.dim)._layout
+                assert layout.protos is protos
+                layouts.add(id(layout))
+            assert len(layouts) == 1
+        assert len(_empty_store(6)) == len(_empty_store(3)) == 0
+        assert _empty_store(6) is not _empty_store(3)
+
 
 class TestRepeatedVectors:
     """One vector held at many rows, in the store and in the prototype set,

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 import tracemalloc
 
@@ -827,6 +828,89 @@ class TestMeanReplayMatchesReference:
         want, got = self.errors(records, protos, Strategy(kind=kind))
         assert isinstance(want, DimensionMismatchError)
         assert isinstance(got, DimensionMismatchError)
+
+    @staticmethod
+    def edge_stream(name):
+        """A stream of 40 records at dim 8 over 30 prototype classes
+        (ids 0, 2, ..., 58), whose classes are chosen by name."""
+        rng = np.random.default_rng(len(name))
+        classes = {
+            "one prototype class": [4] * 40,
+            "one class outside": [7] * 40,
+            "all classes outside": rng.choice([1, 3, 61, 99], 40).tolist(),
+            "most prototypes unseen": rng.choice([6, 40, 5], 40).tolist(),
+        }[name]
+        records = [LabeledRecord(user="u", t=t + 1, class_id=c,
+                                 vec=normalize(rng.standard_normal(8)))
+                   for t, c in enumerate(classes)]
+        protos = PrototypeSet(
+            8, class_ids=range(0, 60, 2),
+            vectors=[normalize(v) for v in rng.standard_normal((30, 8))],
+            counts={c: int(rng.integers(1, 9)) for c in range(0, 60, 2)})
+        return records, protos
+
+    @pytest.mark.parametrize("learn", [True, False])
+    @pytest.mark.parametrize("mode", stream_module.MEAN_MODES)
+    @pytest.mark.parametrize("name", [
+        "one prototype class", "one class outside", "all classes outside",
+        "most prototypes unseen"])
+    def test_incremental_edge_streams(self, name, mode, learn):
+        # the replay moves versions only for the stream's classes; blocks
+        # of 7 carry each class's version across block ends
+        records, protos = self.edge_stream(name)
+        strategy = Strategy(kind="ncm-incr", mean_mode=mode, learn=learn)
+        positions, predicted = reference_mean_replay(records, protos,
+                                                     strategy)
+        for block in (7, 256):
+            got = replay_with_block(records, protos, strategy, block)
+            assert got.rank.tolist() == positions
+            assert got.predicted.tolist() == predicted
+
+
+class TestUnitMeans:
+    """unit_means takes each row's norm as math.sqrt of the row's own dot
+    product, bit for bit, in one np.vecdot call."""
+
+    @staticmethod
+    def assert_per_row_norms(acc, count):
+        means = acc / np.reshape(count, (-1, 1))
+        want = means / np.array([math.sqrt(m.dot(m)) for m in means])[:, None]
+        got = stream_module.unit_means(acc, count, range(len(acc)))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3, 64, 1000, 2048])
+    def test_random_rows(self, dim):
+        rng = np.random.default_rng(dim)
+        acc = rng.standard_normal((300, dim)) * rng.uniform(0.1, 50.0,
+                                                            (300, 1))
+        self.assert_per_row_norms(acc, rng.integers(1, 40, 300))
+
+    def test_signed_zero_rows(self):
+        acc = np.array([[-0.0, 1.0, -0.0], [0.5, -0.0, -0.5],
+                        [-0.0, -0.0, -3.0]])
+        self.assert_per_row_norms(acc, [1, 2, 3])
+
+    def test_mean_versions_of_a_paper_size_stream(self, monkeypatch):
+        from spc import SubsetSpec, TrainIndex, build_prototypes, select_classes
+        train, stream, _, _ = generate_synthetic(SynthConfig(users=1))
+        protos = build_prototypes(
+            train, select_classes(TrainIndex.from_records(train),
+                                  SubsetSpec()), SubsetSpec())
+        calls = []
+        unit_means = stream_module.unit_means
+
+        def capture(acc, count, class_ids):
+            calls.append((acc.copy(), count.copy()))
+            return unit_means(acc, count, class_ids)
+
+        monkeypatch.setattr(stream_module, "unit_means", capture)
+        for mode in stream_module.MEAN_MODES:
+            run_user_stream(stream, protos,
+                            Strategy(kind="ncm-incr", mean_mode=mode))
+        monkeypatch.undo()
+        assert [len(acc) for acc, _ in calls] == [len(protos) + 300] * 2
+        for acc, count in calls:
+            self.assert_per_row_norms(acc, count)
 
 
 class TestBucketReportMatchesReference:
