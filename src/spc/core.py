@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -270,12 +271,12 @@ class UserStore:
         last call while protos is the same object, extended by the
         classes and rows that arrived since."""
         layout = self._layout
-        if layout is None or layout.protos is not protos:
+        if layout is None or layout.protos() is not protos:
             layout = self._layout = ClassLayout(protos, self._slot_of)
         elif len(self._slot_of) > len(layout.slot_pos):
-            layout.extend(self._slot_of)
+            layout.extend(protos, self._slot_of)
         if self._n > layout.n_rows:
-            layout.add_rows(self._vecs, self._n)
+            layout.add_rows(protos, self._vecs, self._n)
         return layout
 
 
@@ -286,17 +287,21 @@ class PrototypeSet:
     prototype, where that is known; mean-update baselines need it for
     full-history seeding.
     `row_of` maps each class id to its row; `first_row` is note_repeats'
-    map of the rows, and `repeats` holds the rows that repeat an earlier
-    one and the rows they repeat.
+    map of the rows, and `repeats` the rows that repeat an earlier one and
+    the rows they repeat, as two intp arrays that layouts share unwritten.
     """
 
     def __init__(self, dim: int, class_ids=(), vectors=None, counts=None) -> None:
         self.dim = dim = check_int(dim, "dim", 1)
         ids = np.array([check_int(c, "class id", 0) for c in class_ids],
                        dtype=np.int64)
-        if vectors is None:
-            vectors = np.empty((0, dim), dtype=np.float32)
-        vecs = np.asarray(vectors, dtype=np.float32).reshape(len(ids), dim)
+        vecs = np.asarray(() if vectors is None else vectors, np.float32)
+        # no vectors at all (None, or a header-only file's []) fit no ids
+        if vecs.shape != (len(ids), dim) and (vecs.size or len(ids)):
+            raise DimensionMismatchError(
+                f"prototype vectors have shape {vecs.shape}, expected "
+                f"{(len(ids), dim)}")
+        vecs = vecs.reshape(len(ids), dim)
         self.row_of = {c: r for r, c in enumerate(ids.tolist())}
         if len(self.row_of) != len(ids):
             raise SpcError("duplicate class id in prototype set")
@@ -313,7 +318,8 @@ class PrototypeSet:
         self.matrix = vecs
         self.matrix64 = matrix64
         self.first_row: dict[object, int] = {}
-        self.repeats = note_repeats(self.first_row, matrix64)
+        pos, src = note_repeats(self.first_row, matrix64)
+        self.repeats = (np.array(pos, np.intp), np.array(src, np.intp))
         self.counts: dict[int, int] = counts
 
     def __len__(self) -> int:
@@ -346,46 +352,41 @@ class ClassLayout:
     may round one vector's dot differently by its row, and equal vectors
     must tie.
 
-    A layout only grows: extend lays out the classes that are new since it
-    last ran, and add_rows the rows, so each costs layout work once.
+    protos weakly refers to the set, so no layout keeps it alive. A layout
+    only grows: extend lays out the classes new since it last ran, and
+    add_rows the rows, so each costs layout work once.
     """
 
     def __init__(self, protos: PrototypeSet, slot_of=()) -> None:
-        self.protos = protos
+        self.protos = weakref.ref(protos)
         self.ids = protos.class_ids
         self.slot_pos = np.empty(0, dtype=np.intp)
-        self.extend(slot_of)
-        pos, src = protos.repeats
-        self.dup_pos = np.array(pos, dtype=np.intp)
-        self.dup_src = np.array(src, dtype=np.intp)
-        self._first: dict | None = None
+        self.extend(protos, slot_of)
+        self.dup_pos, self.dup_src = protos.repeats
+        self._first = dict(protos.first_row)
         self.n_rows = 0
 
-    def add_rows(self, vectors, n: int) -> None:
+    def add_rows(self, protos: PrototypeSet, vectors, n: int) -> None:
         """Note which of a store's rows vectors[:n] past those already
         noted repeat an earlier vector."""
         start, self.n_rows = self.n_rows, n
-        p = len(self.protos) + start
-        first = self._first
+        p = len(protos) + start
         # the usual call: one new row, whose first component is new
-        if (n == start + 1 and first is not None
-                and first.setdefault(vectors.item(start, 0), p) == p):
+        if n == start + 1 and self._first.setdefault(
+                vectors.item(start, 0), p) == p:
             return
-        if first is None:
-            # copied at the first rows, so a store-less ranking copies none
-            first = self._first = dict(self.protos.first_row)
-        pos, src = note_repeats(first, vectors[:n], start,
-                                self.protos.matrix64)
+        pos, src = note_repeats(self._first, vectors[:n], start,
+                                protos.matrix64)
         if pos:
             self.dup_pos = np.concatenate((self.dup_pos, pos))
             self.dup_src = np.concatenate((self.dup_src, src))
 
-    def extend(self, slot_of) -> None:
+    def extend(self, protos: PrototypeSet, slot_of) -> None:
         """Lay out a store's classes (the class ids of its slots, in slot
         order) past the slots already laid out, and order the ties."""
         new_ids, pos = [], []
         for c in list(slot_of)[len(self.slot_pos):]:
-            row = self.protos.row_of.get(c)
+            row = protos.row_of.get(c)
             if row is None:
                 row = len(self.ids) + len(new_ids)
                 new_ids.append(c)

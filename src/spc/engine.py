@@ -94,7 +94,8 @@ class DotCounter:
 @functools.cache
 def _empty_store(dim: int) -> UserStore:
     """spc_rank's store when none is given, one per dim, kept across calls
-    with its layout; it is never handed out, so nothing appends to it."""
+    with its layout; it is never handed out, so nothing appends to it, and
+    its layout holds the last set ranked only weakly, so keeps none alive."""
     return UserStore(dim)
 
 

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -13,6 +16,13 @@ from spc.core import check_unit
 
 def test_every_export_resolves():
     assert [name for name in spc.__all__ if not hasattr(spc, name)] == []
+
+
+def test_spc_is_imported_from_this_checkout():
+    # pytest's pythonpath puts this checkout's src/ first, so an installed
+    # copy of the package is never what the suite tests
+    src = Path(__file__).resolve().parents[1] / "src" / "spc"
+    assert Path(spc.__file__).resolve().parent == src
 
 
 class TestLabelRegistry:
@@ -197,6 +207,19 @@ class TestPrototypeSet:
 
     def test_empty_set_is_legal(self):
         assert len(PrototypeSet(8)) == 0
+        # read_prototypes passes [] for a header-only file
+        assert PrototypeSet(8, [], []).matrix.shape == (0, 8)
+
+    @pytest.mark.parametrize("dim, class_ids, vectors, shape", [
+        (4, [1, 2], np.eye(4)[:3], (3, 4)),
+        # two rows' worth of values in one row is a dimension fault, not
+        # a norm fault
+        (2, [0, 1], np.eye(4)[:1], (1, 4)),
+        (3, [5], None, (0,))])
+    def test_wrong_shape_rejected(self, dim, class_ids, vectors, shape):
+        want = f"shape {shape}, expected ({len(class_ids)}, {dim})"
+        with pytest.raises(DimensionMismatchError, match=re.escape(want)):
+            PrototypeSet(dim, class_ids, vectors)
 
     def test_negative_class_id_rejected(self):
         with pytest.raises(SpcError,

@@ -1,5 +1,7 @@
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -318,11 +320,44 @@ class TestClassLayout:
                         spc_rank(q, None, protos, cfg),
                         spc_rank(q, UserStore(protos.dim), protos, cfg))
                 layout = _empty_store(protos.dim)._layout
-                assert layout.protos is protos
+                assert layout.protos() is protos
                 layouts.add(id(layout))
             assert len(layouts) == 1
         assert len(_empty_store(6)) == len(_empty_store(3)) == 0
         assert _empty_store(6) is not _empty_store(3)
+
+    def test_a_dropped_set_is_freed(self):
+        # a layout, the store-less one kept across calls included, holds
+        # its set only weakly: a set dropped after ranking is freed, and
+        # the next set, whatever its address, gets a layout of its own
+        rng = np.random.default_rng(8)
+        dim = 5
+
+        def proto_set(ids):
+            vecs = [normalize(rng.standard_normal(dim)) for _ in ids]
+            vecs[-1] = vecs[0]
+            return PrototypeSet(dim, class_ids=ids, vectors=vecs)
+
+        store = UserStore(dim)
+        for c in (4, 1, 4, 9):
+            store.append(normalize(rng.standard_normal(dim)), c)
+        q = normalize(rng.standard_normal(dim))
+        for s in (None, store):
+            protos = proto_set([1, 6, 3])
+            self.assert_same(q, s, protos, SpcConfig(0.85))
+            ref = weakref.ref(protos)
+            del protos
+            gc.collect()
+            assert ref() is None
+        # a row repeating a prototype joins the store's layout, not the set
+        protos = proto_set([6, 2])
+        repeats = [a.copy() for a in protos.repeats]
+        store.append(protos.matrix[0], 7)
+        for s in (None, store):
+            self.assert_same(q, s, protos, SumConfig(0.5))
+        assert store._layout.protos() is protos
+        for got, want in zip(protos.repeats, repeats):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestRepeatedVectors:
