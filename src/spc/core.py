@@ -97,6 +97,14 @@ def normalize(raw) -> np.ndarray:
     return (v / norm).astype(np.float32)
 
 
+def row_norms(matrix: np.ndarray) -> np.ndarray:
+    """The L2 norm of each row of a float64 matrix. np.vecdot's float64
+    loop calls the dot kernel a 1-d ndarray.dot calls, so each norm equals
+    normalize's math.sqrt(v.dot(v)) of the row bit for bit, and a row
+    scaled by its norm comes out the same alone or in a batch."""
+    return np.sqrt(np.vecdot(matrix, matrix))
+
+
 def check_unit(vec, dim: int | None = None) -> np.ndarray:
     """The vector as a float64 array, once it is checked to have shape
     (dim,), when dim is given, and unit norm within UNIT_NORM_TOL. A
@@ -295,7 +303,17 @@ class PrototypeSet:
         self.dim = dim = check_int(dim, "dim", 1)
         ids = np.array([check_int(c, "class id", 0) for c in class_ids],
                        dtype=np.int64)
-        vecs = np.asarray(() if vectors is None else vectors, np.float32)
+        try:
+            vecs = np.asarray(() if vectors is None else vectors, np.float32)
+        except ValueError:  # ragged, as stack_records finds it
+            i, v = next(((i, v) for i, v in enumerate(vectors)
+                         if np.shape(v) != (dim,)), (None, None))
+            if i is None:  # a value that is no number
+                raise
+            raise DimensionMismatchError(
+                f"prototype vectors have shape ({len(vectors)}, ?), expected "
+                f"{(len(ids), dim)}: row {i} has shape {np.shape(v)}"
+            ) from None
         # no vectors at all (None, or a header-only file's []) fit no ids
         if vecs.shape != (len(ids), dim) and (vecs.size or len(ids)):
             raise DimensionMismatchError(

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import base64
 import json
+from binascii import b2a_base64
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -103,32 +105,40 @@ def _check_vec(vec: np.ndarray, dim: int, renorm: bool = False) -> np.ndarray:
     return vec
 
 
-def _write_lines(path, fmt: str, header: dict, rows) -> None:
-    """Write a header line of format fmt, then one line per (fields, vec)."""
+def _write_lines(path, fmt: str, header: dict, fields, matrix) -> None:
+    """Write a header line of format fmt, then one line per row of matrix:
+    a JSON object of that row's fields, already formatted as JSON members,
+    and the row as "vec", base64 of its little-endian float32 bytes. The
+    lines are those json.dumps would write, with no spaces."""
+    head = _dump({"format": fmt, "version": FORMAT_VERSION, **header})
+    matrix = np.ascontiguousarray(matrix, "<f4")
     with open(path, "w", encoding="utf-8") as f:
-        f.write(_dump({"format": fmt, "version": FORMAT_VERSION, **header})
-                + "\n")
-        for fields, vec in rows:
-            vec = base64.b64encode(vec.astype("<f4").tobytes()).decode()
-            f.write(_dump({**fields, "vec": vec}) + "\n")
+        f.write(head + "\n")
+        for members, row in zip(fields, matrix):
+            f.write('{%s,"vec":"%s"}\n'
+                    % (members, b2a_base64(row, newline=False).decode()))
 
 
 def write_records(records, path, registry: LabelRegistry | None = None,
                   dim: int | None = None) -> None:
     """Write labeled records as header + one JSON object per line. A
     record read_records would refuse, or one whose class id the registry
-    lacks, is named before the file is opened."""
+    lacks, is named before the file is opened, and every line's fields
+    are formatted before it is."""
     records = list(records)
     if dim is None:
         if not records:
             raise SpcError("cannot infer dim from an empty record list")
         dim = len(records[0].vec)
+    dim = check_int(dim, "dim", 1)
     vecs = stack_records(records, dim, np.float32)
     resolve = registry.resolve if registry is not None else str
-    labels = [resolve(rec.class_id) for rec in records]
+    fields = ['"user":%s,"t":%d,"label":%s'
+              % (_quote(rec.user), check_int(rec.t, "t", 1),
+                 _quote(resolve(rec.class_id)))
+              for rec in records]
     _write_lines(path, RECORDS_FORMAT, {"dim": dim, "normalize": False},
-                 (({"user": rec.user, "t": rec.t, "label": label}, vec)
-                  for rec, label, vec in zip(records, labels, vecs)))
+                 fields, vecs)
 
 
 def read_records(path, registry: LabelRegistry | None = None):
@@ -154,14 +164,17 @@ def read_records(path, registry: LabelRegistry | None = None):
 
 def write_prototypes(protos: PrototypeSet, path,
                      registry: LabelRegistry | None = None) -> None:
-    """One line per class: label, training count, prototype vector. Every
-    label is resolved before the file is opened."""
+    """One line per class: label, training count (null where unknown),
+    prototype vector. Every line's fields are formatted, each label
+    resolved, before the file is opened."""
     resolve = registry.resolve if registry is not None else str
-    ids = protos.class_ids.tolist()
-    labels = [resolve(c) for c in ids]
-    _write_lines(path, PROTOS_FORMAT, {"dim": protos.dim},
-                 (({"label": label, "count": protos.counts.get(c)}, vec)
-                  for c, label, vec in zip(ids, labels, protos.matrix)))
+    counts = protos.counts
+    fields = ['"label":%s,"count":%s'
+              % (_quote(resolve(c)),
+                 "null" if counts.get(c) is None else "%d" % counts[c])
+              for c in protos.class_ids.tolist()]
+    _write_lines(path, PROTOS_FORMAT, {"dim": protos.dim}, fields,
+                 protos.matrix)
 
 
 def read_prototypes(path, registry: LabelRegistry | None = None):

@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import (DimensionMismatchError, LabeledRecord, PrototypeSet,
                    SpcError, check_int, check_topk, empty_prototypes,
-                   repeated_rows, stack_records)
+                   repeated_rows, row_norms, stack_records)
 from .data_io import ReportTable
 from .engine import DotCounter, SpcConfig, SumConfig
 
@@ -160,12 +160,11 @@ def _columns(records, protos) -> dict:
 
 def unit_means(acc: np.ndarray, count, class_ids) -> np.ndarray:
     """Rows acc / count, each scaled to unit length: the running means of
-    the incremental-mean baselines. Each row's norm is its own dot
-    product, so a row comes out the same whether it is computed alone or
-    in a batch: np.vecdot's float64 loop calls the dot kernel a 1-d
-    ndarray.dot calls, so the norms equal math.sqrt(m.dot(m)) bit for bit."""
+    the incremental-mean baselines. Each row's norm is its own
+    (core.row_norms), so a row comes out the same whether it is computed
+    alone or in a batch."""
     means = acc / np.reshape(count, (-1, 1))
-    norms = np.sqrt(np.vecdot(means, means))
+    norms = row_norms(means)
     zero = np.flatnonzero(norms == 0.0)
     if len(zero):
         raise SpcError(

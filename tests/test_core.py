@@ -215,7 +215,9 @@ class TestPrototypeSet:
         # two rows' worth of values in one row is a dimension fault, not
         # a norm fault
         (2, [0, 1], np.eye(4)[:1], (1, 4)),
-        (3, [5], None, (0,))])
+        (3, [5], None, (0,)),
+        # ragged rows: the message goes on to name the first bad row
+        (2, [0, 1], [[1.0, 0.0], [1.0]], "(2, ?)")])
     def test_wrong_shape_rejected(self, dim, class_ids, vectors, shape):
         want = f"shape {shape}, expected ({len(class_ids)}, {dim})"
         with pytest.raises(DimensionMismatchError, match=re.escape(want)):

@@ -1,6 +1,7 @@
 import base64
 import json
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -139,10 +140,42 @@ class TestRecordsRoundTrip:
             write_records(recs, path, registry=reg)
         assert not path.exists()
 
+    def test_numpy_integer_t_round_trips(self, tmp_path):
+        """LabeledRecord takes a numpy integer t, as check_int does, and
+        the writer writes it, and a numpy integer dim, as the integers
+        they are."""
+        vec = np.array([0.6, 0.8], dtype=np.float32)
+        path = tmp_path / "a.records"
+        write_records([LabeledRecord("u", np.int64(7), 0, vec)], path,
+                      dim=np.int64(2))
+        back, _ = read_records(path)
+        assert back[0].t == 7 and type(back[0].t) is int
+        assert_same_bits(back[0].vec, vec)
+
+    def test_a_field_the_reader_refuses_leaves_no_file(self, tmp_path):
+        """A record that is not a LabeledRecord, whose t read_records would
+        refuse, fails before the file is opened."""
+        vec = np.array([0.6, 0.8], dtype=np.float32)
+        recs = [LabeledRecord("u", 1, 0, vec),
+                SimpleNamespace(user="u", t=2.5, class_id=0, vec=vec)]
+        path = tmp_path / "a.records"
+        with pytest.raises(SpcError, match=re.escape(
+                "t must be an integer from 1 to 2**63 - 1, got 2.5")):
+            write_records(recs, path)
+        assert not path.exists()
+
     def test_empty_record_list_with_dim_writes_a_header(self, tmp_path):
         path = tmp_path / "a.records"
         write_records([], path, dim=3)
         assert read_records(path)[0] == []
+
+    @pytest.mark.parametrize("dim", [0, -1, 2.0])
+    def test_a_dim_the_reader_refuses_leaves_no_file(self, tmp_path, dim):
+        path = tmp_path / "a.records"
+        with pytest.raises(SpcError, match=re.escape(
+                f"dim must be an integer from 1 to 2**63 - 1, got {dim!r}")):
+            write_records([], path, dim=dim)
+        assert not path.exists()
 
     def test_shared_registry_keeps_ids(self, tmp_path):
         recs, reg = make_records(6)
@@ -352,8 +385,8 @@ def test_vector_format_is_bit_exact_for_finite_float32(tmp_path_factory,
     vec = vec[np.isfinite(vec)]
     assume(vec.size)
     path = tmp_path_factory.getbasetemp() / "bit-exact"
-    _write_lines(path, "spc-prototypes", {"dim": vec.size},
-                 [({"label": "c"}, vec)])
+    _write_lines(path, "spc-prototypes", {"dim": vec.size}, ['"label":"c"'],
+                 vec[None, :])
     back = []
     _read_lines(path, "spc-prototypes",
                 lambda header, obj, v: back.append((list(obj), v)))

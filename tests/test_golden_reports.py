@@ -3,7 +3,8 @@
 The set, written through cli.main into one directory:
   - `spc bench --users 20`, in tsv and in markdown;
   - `spc synth` and `build-prototypes` (at its defaults and capped), which
-    pins the format-version-2 record and prototype bytes;
+    pins the format-version-2 record and prototype bytes, and `spc synth`
+    with every sigma at 0, which draws only the directions;
   - `spc eval --precise` for all seven strategies, with prototypes, and
     with `--no-learn` on the capped prototypes at other report settings;
     the nearest-neighbour strategies also without prototypes;
@@ -47,6 +48,9 @@ def commands(out: pathlib.Path) -> list[list[str]]:
               "--out-dir", str(out / "bench-md")],
              ["synth", "--users", "6", "--records", "200", "--seed", "3",
               "--out-dir", str(data)],
+             ["synth", "--users", "3", "--records", "300", "--sigma-user",
+              "0", "--sigma-sample", "0", "--group-tightness", "0",
+              "--out-dir", str(out / "noiseless")],
              ["build-prototypes", "--train", str(data / "train.records"),
               "--out", str(data / "common.protos")],
              ["build-prototypes", "--train", str(data / "train.records"),

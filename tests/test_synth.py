@@ -1,11 +1,14 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from spc import (SpcError, Strategy, SubsetSpec, SynthConfig, TrainIndex,
                  build_prototypes, generate_synthetic, group_by_user,
-                 run_streams, select_classes)
+                 run_streams, select_classes, write_records)
+
+from . import reference_synth
 
 SMALL = dict(dim=16, num_common_classes=12, users=4, records_per_user=30,
              novel_classes_per_user=2, confusable_group_count=2, group_size=2,
@@ -144,3 +147,105 @@ class TestCalibration:
         outcomes = run_streams(streams, protos, Strategy(kind="ncm-fixed"))
         acc = np.mean([o.hits[1] for s in outcomes.values() for o in s])
         assert acc < 0.8
+
+
+def assert_same_output(got, want):
+    """Two generate_synthetic results agree bit for bit: every record's
+    fields and vector bits, the labels in id order, the manifest."""
+    for recs, ref in zip(got[:2], want[:2]):
+        assert len(recs) == len(ref)
+        for a, b in zip(recs, ref):
+            assert (a.user, a.t, a.class_id) == (b.user, b.t, b.class_id)
+            assert a.vec.dtype == b.vec.dtype == np.float32
+            np.testing.assert_array_equal(a.vec.view(np.uint32),
+                                          b.vec.view(np.uint32))
+    assert got[2]._label_of == want[2]._label_of
+    assert got[3] == want[3]
+
+
+class TestMatchesReference:
+    """The block draws give what the per-vector loop gives, bit for bit,
+    and fail where it fails, with its message."""
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    @pytest.mark.parametrize("override", [
+        {}, {"sigma_user": 0.0}, {"sigma_sample": 0.0},
+        {"group_tightness": 0.0},
+        {"sigma_user": 0.0, "sigma_sample": 0.0, "group_tightness": 0.0},
+        {"dim": 2}, {"dim": 1024, "records_per_user": 140},
+        {"novel_classes_per_user": 0, "novel_mass": 0.0},
+        {"confusable_group_count": 0},
+        {"records_per_user": 1}, {"records_per_user": 127},
+        {"records_per_user": 128}, {"records_per_user": 129},
+        {"records_per_user": 257}])
+    def test_same_records(self, override, seed):
+        cfg = SynthConfig(**{**SMALL, "records_per_user": 60, **override,
+                             "seed": seed})
+        assert_same_output(generate_synthetic(cfg),
+                           reference_synth.generate_synthetic(cfg))
+
+    def test_first_fault_in_draw_order_is_raised(self):
+        """At dim 2 and sigma near sqrt(float max), some draws overflow and
+        some do not, so the setting named is the one whose row comes first
+        in the per-vector order, which interleaves modes and samples."""
+        seen = set()
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            sigmas = rng.choice([0.5, 8e153, 1.1e154], size=3)
+            cfg = SynthConfig(
+                dim=2, num_common_classes=6, users=2,
+                records_per_user=int(rng.integers(1, 300)),
+                novel_classes_per_user=1, confusable_group_count=1,
+                group_size=2, train_records_per_class=1,
+                train_modes_per_class=1, seed=seed,
+                sigma_user=float(sigmas[0]), sigma_sample=float(sigmas[1]),
+                group_tightness=float(sigmas[2]) / 2)
+            outcome = []
+            for generate in (generate_synthetic,
+                             reference_synth.generate_synthetic):
+                try:
+                    generate(cfg)
+                    outcome.append(None)
+                except SpcError as e:
+                    outcome.append(str(e))
+            assert outcome[0] == outcome[1]
+            seen.add(outcome[0] and outcome[0].split()[0])
+        assert seen == {None, "sigma_user", "sigma_sample"}
+
+
+class TestSetupMemory:
+    """Set-up works a block at a time: neither the generator nor the
+    writer holds an array or a text that spans a stream."""
+
+    CFG = SynthConfig(dim=1024, users=2, records_per_user=2000,
+                      train_records_per_class=2)
+
+    def test_generator_peak_is_the_records_plus_blocks(self):
+        tracemalloc.start()
+        try:
+            train, stream, _, _ = generate_synthetic(self.CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = len(train) + len(stream)
+        # the vectors' bytes, a generous 1 KB of objects per record, and
+        # 8 float64 blocks of 128 rows (a fixed bound, not SYNTH_BLOCK,
+        # which a whole-stream draw would raise); one float64 matrix of a
+        # whole stream alone is 16 MB
+        bound = n * (self.CFG.dim * 4 + 1024) + 8 * 128 * self.CFG.dim * 8
+        assert peak < bound
+
+    def test_writer_peak_is_the_matrix_plus_a_few_lines(self, tmp_path):
+        _, stream, registry, _ = generate_synthetic(self.CFG)
+        path = tmp_path / "s.records"
+        tracemalloc.start()
+        try:
+            write_records(stream, path, registry=registry)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        line = max(map(len, path.read_text().splitlines()))
+        # the float32 matrix of the file, each line's fields (under 256
+        # bytes) and a few lines; the whole file's text alone is 22 MB
+        bound = len(stream) * (self.CFG.dim * 4 + 256) + 8 * line
+        assert peak < bound
