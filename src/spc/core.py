@@ -63,6 +63,8 @@ def check_int(value, name: str, low: int) -> int:
     """value as a Python int, once it is checked to be an integer (a numpy
     integer counts; 1.5 and True do not) from low to 2**63 - 1, the int64
     range."""
+    if type(value) is int and low <= value < 2**63:
+        return value
     try:
         i = operator.index(value)
     except TypeError:
@@ -176,6 +178,25 @@ def repeated_rows(matrices) -> tuple[np.ndarray, np.ndarray]:
     return shared[pos], shared[src]
 
 
+def _misfit(vecs, dim: int, dtype) -> tuple[int, Exception | None]:
+    """Where np.array(vecs, dtype) failed or came out misshapen: the first
+    vector whose shape is not (dim,), with None, or else the first that
+    does not convert to dtype (a string, or a ragged list), with the
+    error it raised. Vectors that all have the shape and all convert
+    stack, so one of the two is found."""
+    for i, v in enumerate(vecs):
+        try:
+            if np.shape(v) != (dim,):
+                return i, None
+        except ValueError as e:  # a ragged list has no shape
+            return i, e
+    for i, v in enumerate(vecs):
+        try:
+            np.asarray(v, dtype)
+        except (TypeError, ValueError) as e:
+            return i, e
+
+
 def stack_records(records, dim: int, dtype=np.float64) -> np.ndarray:
     """The records' vectors as one (len(records), dim) matrix of dtype,
     once every row is checked to be unit within UNIT_NORM_TOL. The error
@@ -183,13 +204,15 @@ def stack_records(records, dim: int, dtype=np.float64) -> np.ndarray:
     vecs = [rec.vec for rec in records]
     try:
         matrix = np.array(vecs or np.empty((0, dim)), dtype=dtype)
-    except ValueError:  # ragged
+    except (TypeError, ValueError):  # ragged, or a value no number
         matrix = None
     if matrix is None or matrix.shape != (len(vecs), dim):
-        i = next(i for i, v in enumerate(vecs) if np.shape(v) != (dim,))
+        i, error = _misfit(vecs, dim, dtype)
+        where = f"record of user {records[i].user!r} at t={records[i].t}"
+        if error is not None:
+            raise SpcError(f"{where}: vector is not numeric: {error}")
         raise DimensionMismatchError(
-            f"record of user {records[i].user!r} at t={records[i].t}: "
-            f"vector shape {np.shape(vecs[i])}, expected ({dim},)")
+            f"{where}: vector shape {np.shape(vecs[i])}, expected ({dim},)")
     bad = non_unit_rows(matrix)
     if len(bad):
         rec = records[bad[0]]
@@ -305,15 +328,15 @@ class PrototypeSet:
                        dtype=np.int64)
         try:
             vecs = np.asarray(() if vectors is None else vectors, np.float32)
-        except ValueError:  # ragged, as stack_records finds it
-            i, v = next(((i, v) for i, v in enumerate(vectors)
-                         if np.shape(v) != (dim,)), (None, None))
-            if i is None:  # a value that is no number
-                raise
+        except (TypeError, ValueError):  # as stack_records finds them
+            i, error = _misfit(vectors, dim, np.float32)
+            if error is not None:
+                raise SpcError(f"prototype row {i} is not numeric: "
+                               f"{error}") from None
             raise DimensionMismatchError(
                 f"prototype vectors have shape ({len(vectors)}, ?), expected "
-                f"{(len(ids), dim)}: row {i} has shape {np.shape(v)}"
-            ) from None
+                f"{(len(ids), dim)}: row {i} has shape "
+                f"{np.shape(vectors[i])}") from None
         # no vectors at all (None, or a header-only file's []) fit no ids
         if vecs.shape != (len(ids), dim) and (vecs.size or len(ids)):
             raise DimensionMismatchError(

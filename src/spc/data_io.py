@@ -3,6 +3,12 @@ tables. Every file starts with a JSON header line carrying the format name,
 a version, and the embedding dimension, so readers can fail fast. Field
 rules live in core; the one read loop adds path:line to what a line breaks.
 
+A file is read in blocks of whole lines, about READ_BLOCK bytes each. A
+version 2 block takes one UTF-8 decode, one JSON parse, one float32 matrix
+of its vectors and one norm check. A block in which any check fails, and
+every block of a version 1 file, is read again line by line, so the error
+cites its line, and the first fault in the file is the one reported.
+
 Version 2 writes each vector as a base64 string of its little-endian
 float32 bytes: the bytes are the value, so a round trip is bit-exact on
 any host, but vectors are no longer readable as text. Version 1 files,
@@ -11,20 +17,26 @@ whose vectors are JSON lists of numbers, still read.
 
 from __future__ import annotations
 
-import base64
 import json
-from binascii import b2a_base64
+from binascii import a2b_base64, b2a_base64
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
-from .core import (LabeledRecord, LabelRegistry, PrototypeSet, SpcError,
-                   check_int, check_unit, normalize, stack_records)
+from .core import (UNIT_NORM_TOL, LabeledRecord, LabelRegistry,
+                   PrototypeSet, SpcError, check_int, check_unit, normalize,
+                   row_norms, stack_records)
 
 RECORDS_FORMAT = "spc-records"
 PROTOS_FORMAT = "spc-prototypes"
 FORMAT_VERSION = 2
+# bytes of whole lines read per block (f.readlines' hint): a block holds a
+# few hundred lines at dim 64, and its text, JSON and vectors are freed
+# before the next block is read
+READ_BLOCK = 1 << 18
 
 
 class FileFormatError(SpcError):
@@ -33,6 +45,10 @@ class FileFormatError(SpcError):
 
 def _dump(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
+
+
+# base64.b64decode(value, validate=True) of a str, without its ASCII copy
+_b64decode = partial(a2b_base64, strict_mode=True)
 
 
 def _load_vec(value, version: int) -> np.ndarray:
@@ -44,13 +60,15 @@ def _load_vec(value, version: int) -> np.ndarray:
     if version == 1:
         return np.asarray(value, dtype=np.float32)
     # frombuffer's array is read-only: astype makes a native, writable copy
-    return np.frombuffer(base64.b64decode(value, validate=True),
-                         "<f4").astype(np.float32)
+    return np.frombuffer(_b64decode(value), "<f4").astype(np.float32)
 
 
 class _Fields(dict):
     def __missing__(self, key):
         raise SpcError(f"malformed line: missing key {key!r}")
+
+
+_decode = json.JSONDecoder(object_hook=_Fields).decode
 
 
 def _check_header(line: bytes, expected_format: str) -> dict:
@@ -70,30 +88,6 @@ def _check_header(line: bytes, expected_format: str) -> dict:
     return header
 
 
-def _read_lines(path, expected_format: str, read_line) -> dict:
-    """Check a line file's header and call read_line(header, obj, vec) on
-    each non-blank line, vec as float32; returns the header. An SpcError
-    from either is raised again as a FileFormatError citing path:line."""
-    decode = json.JSONDecoder(object_hook=_Fields).decode
-    lineno = 1
-    with open(path, "rb") as f:  # decoded per line: bad UTF-8 cites its line
-        try:
-            header = _check_header(f.readline(), expected_format)
-            for lineno, line in enumerate(f, start=2):
-                try:
-                    line = line.decode("utf-8")
-                    if not line.strip():
-                        continue
-                    obj = decode(line)
-                    vec = _load_vec(obj["vec"], header["version"])
-                except (TypeError, ValueError) as e:  # bad UTF-8, JSON, vec
-                    raise SpcError(f"malformed line: {e}") from None
-                read_line(header, obj, vec)
-        except SpcError as e:
-            raise FileFormatError(f"{path}:{lineno}: {e}") from None
-    return header
-
-
 def _check_vec(vec: np.ndarray, dim: int, renorm: bool = False) -> np.ndarray:
     """The line's vector, checked to be unit or, when renorm, normalized."""
     if vec.shape != (dim,):
@@ -103,6 +97,90 @@ def _check_vec(vec: np.ndarray, dim: int, renorm: bool = False) -> np.ndarray:
         return normalize(vec)
     check_unit(vec)
     return vec
+
+
+def _read_block(lines, dim: int, renorm: bool, read_rows) -> bool:
+    """Read a block of a version 2 file's lines at once and pass their
+    rows to read_rows, with the identity as their check; returns False,
+    having changed nothing but what read_rows interned, where any check
+    fails.
+
+    The block is parsed as one JSON array that holds each line in an
+    array of its own, joined by a newline, which no JSON string holds.
+    With no bracket in the lines, each inner array holds exactly its
+    line's tokens: empty for a blank line, and one object for a line that
+    is one object alone."""
+    data = b"]\n,[".join(lines)
+    # the brackets must balance, so a line with no "[" holds no "]" either
+    if data.count(b"[") != len(lines) - 1:
+        return False
+    try:
+        wrapped = json.loads("[[" + data.decode("utf-8") + "]]")
+        objs = list(chain.from_iterable(wrapped))
+        raw = list(map(_b64decode, [obj["vec"] for obj in objs]))
+    except (KeyError, TypeError, ValueError):  # UTF-8, JSON, vec, base64
+        return False
+    # a line of more than one value, or a vector not of dim values
+    if max(map(len, wrapped)) > 1 or {*map(len, raw)} - {4 * dim}:
+        return False
+    matrix = np.frombuffer(b"".join(raw), "<f4").reshape(-1, dim)
+    matrix64 = matrix.astype(np.float64)
+    # normalize's and check_unit's norm of each row, bit for bit
+    norms = row_norms(matrix64)
+    if renorm:
+        if not (np.isfinite(norms) & (norms != 0.0)).all():
+            return False
+        matrix = (matrix64 / norms[:, None]).astype(np.float32)
+    elif (np.abs(norms - 1.0) <= UNIT_NORM_TOL).all():
+        matrix = matrix.astype(np.float32)  # native and writable
+    else:
+        return False
+    try:
+        read_rows(objs, matrix, lambda vec: vec)
+    except (KeyError, SpcError):  # a missing key, or a field's rule
+        return False
+    return True
+
+
+def _read_lines(path, expected_format: str, read_rows,
+                renorm: bool = False) -> dict:
+    """Check a line file's header, then call read_rows(objs, vecs, check)
+    on its non-blank lines: their JSON objects, their vectors as float32,
+    and check(vec), which returns a line's vector once it is checked to
+    have the header's dim and unit norm or, with renorm and a header that
+    says normalize, normalized. read_rows must check each line in turn
+    and keep nothing of a call that raises. Returns the header.
+
+    A file is read in blocks of whole lines of about READ_BLOCK bytes.
+    A version 2 block is read at once when every check passes; otherwise,
+    and in a version 1 file, the block is read again line by line, one
+    read_rows call per line, and an SpcError is raised again as a
+    FileFormatError citing path:line."""
+    lineno = 1
+    with open(path, "rb") as f:
+        try:
+            header = _check_header(f.readline(), expected_format)
+            dim, version = header["dim"], header["version"]
+            renorm = renorm and header["normalize"]
+            check = partial(_check_vec, dim=dim, renorm=renorm)
+            while lines := f.readlines(READ_BLOCK):
+                if version == 2 and _read_block(lines, dim, renorm,
+                                                read_rows):
+                    lineno += len(lines)
+                    continue
+                for lineno, line in enumerate(lines, start=lineno + 1):
+                    try:  # decoded per line: bad UTF-8 cites its line
+                        line = line.decode("utf-8")
+                        if not line.strip():
+                            continue
+                        obj = _decode(line)
+                        vec = _load_vec(obj["vec"], version)
+                    except (TypeError, ValueError) as e:  # UTF-8, JSON, vec
+                        raise SpcError(f"malformed line: {e}") from None
+                    read_rows([obj], [vec], check)
+        except SpcError as e:
+            raise FileFormatError(f"{path}:{lineno}: {e}") from None
+    return header
 
 
 def _write_lines(path, fmt: str, header: dict, fields, matrix) -> None:
@@ -152,13 +230,13 @@ def read_records(path, registry: LabelRegistry | None = None):
         registry = LabelRegistry()
     records: list[LabeledRecord] = []
 
-    def read_line(header, obj, vec):
-        records.append(LabeledRecord(
+    def read_rows(objs, vecs, check):
+        records.extend([LabeledRecord(
             user=obj["user"], t=obj["t"],
-            class_id=registry.intern(obj["label"]),
-            vec=_check_vec(vec, header["dim"], header["normalize"])))
+            class_id=registry.intern(obj["label"]), vec=check(vec))
+            for obj, vec in zip(objs, vecs)])
 
-    _read_lines(path, RECORDS_FORMAT, read_line)
+    _read_lines(path, RECORDS_FORMAT, read_rows, renorm=True)
     return records, registry
 
 
@@ -186,15 +264,19 @@ def read_prototypes(path, registry: LabelRegistry | None = None):
         registry = LabelRegistry()
     rows, counts = {}, {}
 
-    def read_line(header, obj, vec):
-        cid = registry.intern(obj["label"])
-        if obj.get("count") is not None:
-            counts[cid] = check_int(obj["count"], "count", 1)
-        if cid in rows:
-            raise SpcError(f"duplicate label {obj['label']!r}")
-        rows[cid] = _check_vec(vec, header["dim"])
+    def read_rows(objs, vecs, check):
+        new_rows, new_counts = {}, {}
+        for obj, vec in zip(objs, vecs):
+            cid = registry.intern(obj["label"])
+            if obj.get("count") is not None:
+                new_counts[cid] = check_int(obj["count"], "count", 1)
+            if cid in rows or cid in new_rows:
+                raise SpcError(f"duplicate label {obj['label']!r}")
+            new_rows[cid] = check(vec)
+        rows.update(new_rows)
+        counts.update(new_counts)
 
-    dim = _read_lines(path, PROTOS_FORMAT, read_line)["dim"]
+    dim = _read_lines(path, PROTOS_FORMAT, read_rows)["dim"]
     return PrototypeSet(dim, list(rows), list(rows.values()), counts), registry
 
 

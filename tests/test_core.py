@@ -1,3 +1,4 @@
+import enum
 import re
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import spc
 from spc import (DimensionMismatchError, LabeledRecord, LabelRegistry,
                  NormalizationError, PrototypeSet, SpcError, UserStore,
                  normalize)
-from spc.core import check_unit
+from spc.core import check_int, check_unit, stack_records
 
 
 def test_every_export_resolves():
@@ -237,6 +238,16 @@ class TestPrototypeSet:
             PrototypeSet(2, class_ids=class_ids, vectors=[[1.0, 0.0]],
                          counts=counts)
 
+    def test_a_row_that_is_not_numeric_is_named(self):
+        with pytest.raises(SpcError, match=re.escape(
+                "prototype row 1 is not numeric: could not convert string "
+                "to float")):
+            PrototypeSet(2, [0, 1], [[1.0, 0.0], np.array(["a", "b"])])
+        for row in (np.array(["a", "b"]), [[1.0], [1.0, 0.0]]):
+            with pytest.raises(SpcError,
+                               match="^prototype row 0 is not numeric"):
+                PrototypeSet(2, [0], [row])
+
     @pytest.mark.parametrize("count", [0, -3, 2.5, True])
     def test_count_below_one_rejected(self, count):
         with pytest.raises(SpcError, match="count must be an integer from 1"):
@@ -266,6 +277,41 @@ class TestLabeledRecord:
                            match=f"user must be a string, got {user!r}"):
             LabeledRecord(user=user, t=1, class_id=0,
                           vec=normalize([1.0, 0.0]))
+
+
+def test_stack_records_names_a_vector_that_is_not_numeric():
+    records = [LabeledRecord("u", 1, 0, normalize([0.6, 0.8])),
+               LabeledRecord("u", 2, 0, np.array(["a", "b"]))]
+    with pytest.raises(SpcError, match=re.escape(
+            "record of user 'u' at t=2: vector is not numeric: could not "
+            "convert string to float")):
+        stack_records(records, 2)
+    # the first of two is named, a ragged list included
+    records.append(LabeledRecord("v", 3, 0, np.array([{}, 1.0])))
+    records.insert(0, LabeledRecord("w", 4, 0, [[0.6], [0.8, 0.0]]))
+    for first, t in ((2, 2), (0, 4)):
+        with pytest.raises(SpcError, match=f"^record of user '.' at t={t}: "
+                                           "vector is not numeric"):
+            stack_records(records[first:], 2)
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+
+
+@pytest.mark.parametrize("value", [3, Level.LOW, np.int64(5), np.uint8(2)])
+def test_check_int_takes_int_like_values(value):
+    got = check_int(value, "x", 1)
+    assert got == value and type(got) is int
+
+
+@pytest.mark.parametrize("value,low", [
+    (True, 0), (False, 0), (0, 1), (-1, 0), (2**63, 0), (1.0, 0),
+    (np.int64(-2), 0), ("3", 0)])
+def test_check_int_refuses_with_one_message(value, low):
+    with pytest.raises(SpcError, match=re.escape(
+            f"x must be an integer from {low} to 2**63 - 1, got {value!r}")):
+        check_int(value, "x", low)
 
 
 @pytest.mark.parametrize("make", [UserStore, PrototypeSet])

@@ -2,6 +2,7 @@ import base64
 import json
 import re
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from spc import (FileFormatError, LabeledRecord, LabelRegistry, PrototypeSet,
                  ReportTable, SpcError, normalize, read_prototypes, read_records,
                  render_report, write_manifest, write_prototypes,
                  write_records, write_report)
+from spc import data_io
 from spc.data_io import _read_lines, _write_lines
 
 
@@ -389,7 +391,8 @@ def test_vector_format_is_bit_exact_for_finite_float32(tmp_path_factory,
                  vec[None, :])
     back = []
     _read_lines(path, "spc-prototypes",
-                lambda header, obj, v: back.append((list(obj), v)))
+                lambda objs, vecs, check: back.extend(zip(map(list, objs),
+                                                          vecs)))
     assert back[0][0] == ["label", "vec"]
     assert_same_bits(back[0][1], vec)
 
@@ -510,6 +513,310 @@ def test_bad_vec_fails_with_line_number(tmp_path, kind, version, vec,
     with pytest.raises(FileFormatError,
                        match=re.escape(f"{path}:3: {message}")):
         read(path)
+
+
+# The block reader. A fault in a later block, at READ_BLOCK = 512 bytes:
+# GOOD_BEFORE good lines ahead of it fill more than a block, and good
+# lines after it share its block.
+GOOD_BEFORE = 20
+FAULT_LINE = 2 + GOOD_BEFORE
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(data_io, "READ_BLOCK", 512)
+
+
+def write_with_fault(path, header, good, bad):
+    """A file of header, GOOD_BEFORE good lines, the line bad (bytes, or
+    an object to dump) and five good lines; labels g0, g1, ... and h0,
+    h1, ... keep the good lines' labels distinct."""
+    def dump(obj):
+        return obj if isinstance(obj, bytes) else json.dumps(obj).encode()
+    lines = ([dump(header)]
+             + [dump({**good, "label": f"g{i}"}) for i in range(GOOD_BEFORE)]
+             + [dump(bad)]
+             + [dump({**good, "label": f"h{i}"}) for i in range(5)])
+    path.write_bytes(b"\n".join(lines) + b"\n")
+
+
+def labels(registry):
+    """A registry's labels in id order."""
+    out = []
+    while True:
+        try:
+            out.append(registry.resolve(len(out)))
+        except SpcError:
+            return out
+
+
+LATER_FIELD_CASES = [(kind + suffix, field, value)
+                     for suffix in ("", "-v2")
+                     for kind, field, value in BAD_FIELDS]
+
+
+@pytest.mark.parametrize(
+    "kind,field,value", LATER_FIELD_CASES,
+    ids=[f"{k}-{f}={v!r}" for k, f, v in LATER_FIELD_CASES])
+def test_bad_field_in_a_later_block(tmp_path, small_blocks, kind, field,
+                                    value):
+    read, header, good = READERS[kind]
+    path = tmp_path / "bad"
+    write_with_fault(path, header, good, {**good, field: value})
+    with pytest.raises(FileFormatError, match=re.escape(
+            f"{path}:{FAULT_LINE}: {field} must be")):
+        read(path)
+
+
+@pytest.mark.parametrize("kind,key", [
+    (kind + suffix, key) for suffix in ("", "-v2")
+    for kind, key in MISSING_KEYS])
+def test_missing_key_in_a_later_block(tmp_path, small_blocks, kind, key):
+    read, header, good = READERS[kind]
+    path = tmp_path / "bad"
+    write_with_fault(path, header, good,
+                     {k: v for k, v in good.items() if k != key})
+    with pytest.raises(FileFormatError, match=re.escape(
+            f"{path}:{FAULT_LINE}: malformed line: missing key {key!r}")):
+        read(path)
+
+
+@pytest.mark.parametrize("kind", READERS)
+def test_non_utf8_byte_in_a_later_block(tmp_path, small_blocks, kind):
+    read, header, good = READERS[kind]
+    path = tmp_path / "bad"
+    write_with_fault(path, header, good,
+                     json.dumps(good).encode().replace(b'"', b'"\xff', 1))
+    with pytest.raises(FileFormatError, match=re.escape(
+            f"{path}:{FAULT_LINE}: malformed line: 'utf-8' codec can't "
+            "decode byte 0xff")):
+        read(path)
+
+
+@pytest.mark.parametrize("kind", LINES)
+@pytest.mark.parametrize(
+    "version,vec,message", BAD_VECS,
+    ids=["bad-alphabet", "bad-padding", "6-bytes", "3-floats-at-dim-2",
+         "list-in-v2", "string-in-v1", "nan-bits"])
+def test_bad_vec_in_a_later_block(tmp_path, small_blocks, kind, version, vec,
+                                  message):
+    read, header, good = READERS[kind + ("-v2" if version == 2 else "")]
+    path = tmp_path / "bad"
+    write_with_fault(path, header, good, {**good, "vec": vec})
+    with pytest.raises(FileFormatError,
+                       match=re.escape(f"{path}:{FAULT_LINE}: {message}")):
+        read(path)
+
+
+# (kind, the header's normalize, vec, message) for a vector whose norm
+# the reader refuses; prototype files take no normalize
+NORM_CASES = [
+    ("records", True, [0.0, 0.0],
+     "cannot normalize zero or non-finite vector"),
+    ("records", True, [float("nan"), 1.0],
+     "cannot normalize zero or non-finite vector"),
+    ("records", True, [float("inf"), 1.0],
+     "cannot normalize zero or non-finite vector"),
+    ("records", False, [3.0, 4.0], "vector norm 5.0 is not 1 within 1e-06"),
+    ("records", False, [float("nan")] * 2,
+     "vector norm nan is not 1 within 1e-06"),
+    ("prototypes", True, [1.0, 1.0],
+     "vector norm 1.4142135623730951 is not 1 within 1e-06"),
+]
+
+
+@pytest.mark.parametrize("suffix", ["", "-v2"])
+@pytest.mark.parametrize("kind,renorm,vec,message", NORM_CASES)
+def test_norm_fault_in_a_later_block(tmp_path, small_blocks, suffix, kind,
+                                     renorm, vec, message):
+    read, header, good = READERS[kind + suffix]
+    header = {**header, "normalize": renorm}
+    path = tmp_path / "bad"
+    write_with_fault(path, header, good,
+                     {**good, "vec": b64(vec) if suffix else vec})
+    with pytest.raises(FileFormatError,
+                       match=re.escape(f"{path}:{FAULT_LINE}: {message}")):
+        read(path)
+
+
+@pytest.mark.parametrize("suffix", ["", "-v2"])
+def test_duplicate_label_in_a_later_block(tmp_path, small_blocks, suffix):
+    read, header, good = READERS["prototypes" + suffix]
+    path = tmp_path / "bad"
+    write_with_fault(path, header, good, {**good, "label": "g3"})
+    with pytest.raises(FileFormatError, match=re.escape(
+            f"{path}:{FAULT_LINE}: duplicate label 'g3'")):
+        read(path)
+
+
+def joins(*objs, cut=None):
+    """Record lines as JSON text, the last cut where given: a tail of one
+    line that, with the separators of a block's JSON, could go on the
+    next."""
+    text = ",".join(json.dumps({"user": "u", "t": 1, "label": "c",
+                                "vec": b64([0.6, 0.8]), **o}) for o in objs)
+    return text[:cut]
+
+
+# lines that are no one object alone, though they could join into valid
+# JSON with the lines around them: (faulty lines, message)
+JOINED_LINES = [
+    ([joins({})[:-1], '"extra":1}'],
+     "malformed line: Expecting ',' delimiter"),
+    ([joins({}, {"t": 2})], "malformed line: Extra data"),
+    ([joins({}, {"t": 2})[:-1], '"extra":1}'], "malformed line: Extra data"),
+    ([joins({})[:-1] + ',"x":[[1', '2]]}'],
+     "malformed line: Expecting ',' delimiter"),
+    ([joins({}) + "],[" + joins({})], "malformed line: Extra data"),
+    ([joins({"label": "a\nb"})], "malformed line: Invalid control "
+                                  "character"),
+    (["[" + joins({}) + "]"], "malformed line: list indices must be "
+                             "integers"),
+    (['"' + "A" * 10 + '"'], "malformed line: string indices must be "
+                             "integers"),
+]
+
+
+@pytest.mark.parametrize("block", [512, None], ids=["512-bytes", "default"])
+@pytest.mark.parametrize("faulty,message", JOINED_LINES)
+def test_a_line_is_read_alone(tmp_path, monkeypatch, block, faulty,
+                              message):
+    """A block is read at once only where each line alone is one object:
+    every faulty line above fails at its own line, as read line by
+    line."""
+    if block is not None:
+        monkeypatch.setattr(data_io, "READ_BLOCK", block)
+    read, header, good = READERS["records-v2"]
+    lines = ([json.dumps(header)] + [joins({})] * GOOD_BEFORE
+             + [line.replace("\\n", "\n") for line in faulty]
+             + [joins({})] * 5)
+    path = tmp_path / "bad"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError,
+                       match=re.escape(f"{path}:{FAULT_LINE}: {message}")):
+        read(path)
+
+
+# (kind, the faulty line's fields, whether the reader interns its label
+# before it finds the fault): records look up user and t, intern the
+# label, check the vector, then build the record; prototype lines intern
+# the label, then check count, duplicates and the vector
+REGISTRY_CASES = [
+    ("records", {"t": 0}, True),
+    ("records", {"vec": [3.0, 4.0]}, True),
+    ("records", {"user": 5}, True),
+    ("records", {"label": ""}, False),
+    ("records", {"user": None}, False),  # None: the key is missing
+    ("records", {"vec": "@@"}, False),
+    ("prototypes", {"count": 0}, True),
+    ("prototypes", {"vec": [1.0, 1.0]}, True),
+    ("prototypes", {"label": 5}, False),
+    ("prototypes", {"vec": "@@"}, False),
+]
+
+
+@pytest.mark.parametrize("suffix", ["", "-v2"])
+@pytest.mark.parametrize("kind,change,interned", REGISTRY_CASES)
+@pytest.mark.parametrize("block", [1, 512, None], ids=["1-byte", "512-bytes",
+                                                       "default"])
+def test_registry_after_a_failed_read(tmp_path, monkeypatch, suffix, kind,
+                                      change, interned, block):
+    """A failed read leaves the registry holding the labels of the lines
+    before the fault and, where the reader interns it before it finds
+    the fault, the faulty line's; none of a later line's."""
+    if block is not None:
+        monkeypatch.setattr(data_io, "READ_BLOCK", block)
+    read, header, good = READERS[kind + suffix]
+    bad = {**good, "label": "f", **change}
+    if suffix and isinstance(bad["vec"], list):
+        bad["vec"] = b64(bad["vec"])
+    path = tmp_path / "bad"
+    write_with_fault(path, header, good,
+                     {k: v for k, v in bad.items() if v is not None})
+    registry = LabelRegistry()
+    registry.intern("before")
+    with pytest.raises(FileFormatError, match=f":{FAULT_LINE}: "):
+        read(path, registry=registry)
+    assert labels(registry) == (["before"]
+                                + [f"g{i}" for i in range(GOOD_BEFORE)]
+                                + ["f"] * interned)
+
+
+def write_rows(path, kind, version, dim, renorm, rows, blanks, crlf):
+    """A file of rows, (fields, float32 vector) pairs, with a blank line
+    (one of blanks, a (position, text) pair) ahead of each row numbered
+    as its position, and CRLF line ends where crlf."""
+    header = {"format": f"spc-{kind}", "version": version, "dim": dim}
+    if kind == "records":
+        header["normalize"] = renorm
+    lines = [json.dumps(header)]
+    lines += [json.dumps({**fields, "vec": b64(vec) if version == 2
+                          else vec.astype(np.float64).tolist()})
+              for fields, vec in rows]
+    for pos, text in sorted(blanks, reverse=True):
+        lines.insert(1 + pos, text)
+    end = "\r\n" if crlf else "\n"
+    path.write_bytes((end.join(lines) + end).encode())
+
+
+def what_is_read(read, path):
+    """Everything a read gives, bits of every vector included, or its
+    error message."""
+    try:
+        got, registry = read(path)
+    except SpcError as e:
+        return str(e)
+    if isinstance(got, PrototypeSet):
+        return ([registry.resolve(c) for c in got.class_ids.tolist()],
+                {registry.resolve(c): k for c, k in got.counts.items()},
+                got.dim, got.matrix.tobytes())
+    return [(r.user, r.t, registry.resolve(r.class_id), r.vec.dtype,
+             r.vec.tobytes()) for r in got]
+
+
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_block_size_does_not_change_what_is_read(tmp_path_factory, data):
+    """Any file reads the same at READ_BLOCK 1 (a line or two per block),
+    at a size between and at the default, in version 1, which is read
+    line by line, and in version 2. One vector may sit at the edge of the
+    unit-norm tolerance, where every reading must agree whether it
+    passes."""
+    kind = data.draw(st.sampled_from(["records", "prototypes"]))
+    dim = data.draw(st.integers(1, 300))
+    n = data.draw(st.integers(0, 12))
+    renorm = data.draw(st.booleans())
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    vecs = rng.standard_normal((n, dim))
+    if not (renorm and kind == "records"):
+        vecs /= np.sqrt(np.einsum("ij,ij->i", vecs, vecs))[:, None]
+    if n:
+        vecs[data.draw(st.integers(0, n - 1))] *= 1.0 + data.draw(
+            st.sampled_from([0.0, 5e-7, 9.9e-7, 1e-6, 1.01e-6, -1e-6,
+                             -1.01e-6, 3e-6]))
+    vecs = vecs.astype(np.float32)
+    if kind == "records":
+        fields = [{"user": f"u{i % 3}", "t": i // 3 + 1,
+                   "label": f"c{rng.integers(0, 5)}"} for i in range(n)]
+    else:
+        fields = [{"label": f"c{i}",
+                   "count": None if i % 4 == 3 else int(rng.integers(1, 9))}
+                  for i in range(n)]
+    blanks = data.draw(st.lists(st.tuples(
+        st.integers(0, n), st.sampled_from(["", " ", "\t", "\r", " \r"])),
+        max_size=4))
+    crlf = data.draw(st.booleans())
+    mid = data.draw(st.integers(2, 8 * dim + 200))
+    read = read_records if kind == "records" else read_prototypes
+    path = tmp_path_factory.mktemp("blocks") / "f"
+    seen = []
+    for version in (1, 2):
+        write_rows(path, kind, version, dim, renorm, list(zip(fields, vecs)),
+                   blanks, crlf)
+        for size in (1, mid, data_io.READ_BLOCK):
+            with mock.patch.object(data_io, "READ_BLOCK", size):
+                seen.append(what_is_read(read, path))
+    assert all(got == seen[0] for got in seen[1:])
 
 
 class TestReports:

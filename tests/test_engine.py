@@ -301,9 +301,10 @@ class TestClassLayout:
 
     def test_prototypes_alone_share_one_empty_store_per_dim(self):
         # None stands for one private empty store per dim: it ranks as an
-        # explicit empty store does, across prototype sets that alternate,
-        # each holding a repeated vector, and keeps its layout while the
-        # set stays the same
+        # explicit empty store and the reference do, with no user side
+        # scored, across prototype sets that alternate, each holding a
+        # repeated vector (a query equal to it included), and keeps its
+        # layout while the set stays the same
         from spc.engine import _empty_store
         rng = np.random.default_rng(5)
         sets = []
@@ -313,12 +314,15 @@ class TestClassLayout:
             sets.append(PrototypeSet(dim, class_ids=ids, vectors=vecs))
         for protos in sets * 2:
             layouts = set()
-            for _ in range(3):
-                q = normalize(rng.standard_normal(protos.dim))
-                for cfg in (SpcConfig(0.85), SumConfig(1.0)):
+            for q in (normalize(rng.standard_normal(protos.dim)),
+                      protos.matrix[0],
+                      normalize(rng.standard_normal(protos.dim))):
+                for cfg in (SpcConfig(0.85), SpcConfig(1.0), SumConfig(0.5),
+                            SumConfig(1.0)):
                     self.assert_equal(
                         spc_rank(q, None, protos, cfg),
                         spc_rank(q, UserStore(protos.dim), protos, cfg))
+                    self.assert_same(q, None, protos, cfg)
                 layout = _empty_store(protos.dim)._layout
                 assert layout.protos() is protos
                 layouts.add(id(layout))
