@@ -18,7 +18,8 @@ whose vectors are JSON lists of numbers, still read.
 from __future__ import annotations
 
 import json
-from binascii import a2b_base64, b2a_base64
+from base64 import b64decode
+from binascii import b2a_base64
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
@@ -47,10 +48,6 @@ def _dump(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-# base64.b64decode(value, validate=True) of a str, without its ASCII copy
-_b64decode = partial(a2b_base64, strict_mode=True)
-
-
 def _load_vec(value, version: int) -> np.ndarray:
     """A line's "vec" as float32: a JSON list in a version 1 file, base64 of
     little-endian float32 bytes in a version 2 file."""
@@ -60,7 +57,8 @@ def _load_vec(value, version: int) -> np.ndarray:
     if version == 1:
         return np.asarray(value, dtype=np.float32)
     # frombuffer's array is read-only: astype makes a native, writable copy
-    return np.frombuffer(_b64decode(value), "<f4").astype(np.float32)
+    return np.frombuffer(b64decode(value, validate=True),
+                         "<f4").astype(np.float32)
 
 
 class _Fields(dict):
@@ -109,7 +107,9 @@ def _read_block(lines, dim: int, renorm: bool, read_rows) -> bool:
     array of its own, joined by a newline, which no JSON string holds.
     With no bracket in the lines, each inner array holds exactly its
     line's tokens: empty for a blank line, and one object for a line that
-    is one object alone."""
+    is one object alone. The count is of bytes, so a "[" inside a string
+    (a label such as "rice [cooked]") also sends its block to the
+    per-line code; that costs time, not correctness."""
     data = b"]\n,[".join(lines)
     # the brackets must balance, so a line with no "[" holds no "]" either
     if data.count(b"[") != len(lines) - 1:
@@ -117,7 +117,7 @@ def _read_block(lines, dim: int, renorm: bool, read_rows) -> bool:
     try:
         wrapped = json.loads("[[" + data.decode("utf-8") + "]]")
         objs = list(chain.from_iterable(wrapped))
-        raw = list(map(_b64decode, [obj["vec"] for obj in objs]))
+        raw = [b64decode(obj["vec"], validate=True) for obj in objs]
     except (KeyError, TypeError, ValueError):  # UTF-8, JSON, vec, base64
         return False
     # a line of more than one value, or a vector not of dim values

@@ -126,24 +126,22 @@ def spc_rank(query, store: UserStore | None, protos: PrototypeSet | None,
         counter.add(n_user + n_proto)
 
     layout = store.layout(protos)
+    du = store.vectors64 @ q
     dm = protos.matrix64 @ q
+    if len(layout.dup_pos):
+        # a repeated vector takes the dot of its first position, the
+        # prototype rows first, so equal vectors tie
+        dots = np.concatenate((dm, du))
+        dots[layout.dup_pos] = dots[layout.dup_src]
+        dm, du = dots[:n_proto], dots[n_proto:]
     n = len(layout.ids)
     su, sm = np.zeros(n), np.zeros(n)
-    # a repeated vector takes the dot of its first position, the prototype
-    # rows first, so equal vectors tie
-    if n_user:
-        du = store.vectors64 @ q
-        if len(layout.dup_pos):
-            dots = np.concatenate((dm, du))
-            dots[layout.dup_pos] = dots[layout.dup_src]
-            dm, du = dots[:n_proto], dots[n_proto:]
+    if n_user:  # an empty store leaves su at 0
         # every dot is finite (unit vectors are checked), and every slot
         # holds a vector, so no -inf is left
         best = np.full(len(layout.slot_pos), -np.inf)
         np.maximum.at(best, store.slots, du)
         su[layout.slot_pos] = best
-    elif len(layout.dup_pos):  # the empty store: su stays 0
-        dm[layout.dup_pos] = dm[layout.dup_src]
     sm[:n_proto] = dm
     score = cfg.combine(su, sm, n_proto > 0)
     score = score[layout.tie_order]

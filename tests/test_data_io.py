@@ -427,97 +427,10 @@ BAD_FIELDS = [
 ]
 
 
-# each case as line 2, then as line 3 after one good line, in both versions
-BAD_FIELD_CASES = [(kind + suffix, field, value, lineno)
-                   for suffix in ("", "-v2") for lineno in (2, 3)
-                   for kind, field, value in BAD_FIELDS]
-
-
-@pytest.mark.parametrize(
-    "kind,field,value,lineno", BAD_FIELD_CASES,
-    ids=[f"{k}-{f}={v!r}" + ("" if lineno == 2 else "-after-a-good-line")
-         for k, f, v, lineno in BAD_FIELD_CASES])
-def test_bad_field_fails_with_line_number(tmp_path, kind, field, value,
-                                          lineno):
-    read, header, good = READERS[kind]
-    lines = [header] + [{**good, "label": "g"}] * (lineno - 2)
-    lines.append({**good, field: value})
-    path = tmp_path / "bad"
-    path.write_text("\n".join(json.dumps(x) for x in lines) + "\n")
-    with pytest.raises(FileFormatError,
-                       match=re.escape(f"{path}:{lineno}: {field} must be")):
-        read(path)
-
-
-MISSING_KEYS = [("records", "user"), ("records", "t"), ("records", "label"),
-                ("records", "vec"), ("prototypes", "label"),
-                ("prototypes", "vec")]
-
-
-@pytest.mark.parametrize("kind,key", [
-    (kind + suffix, key) for suffix in ("", "-v2")
-    for kind, key in MISSING_KEYS])
-def test_missing_key_is_a_malformed_line(tmp_path, kind, key):
-    read, header, good = READERS[kind]
-    bad = {k: v for k, v in good.items() if k != key}
-    path = tmp_path / "bad"
-    path.write_text("\n".join(json.dumps(x) for x in (
-        header, {**good, "label": "g"}, bad)) + "\n")
-    with pytest.raises(FileFormatError, match=re.escape(
-            f"{path}:3: malformed line: missing key {key!r}")):
-        read(path)
-
-
-# a byte that is not UTF-8 in the header, the first body line or a later one
-@pytest.mark.parametrize("kind", READERS)
-@pytest.mark.parametrize("lineno", [1, 2, 3])
-def test_non_utf8_byte_is_malformed(tmp_path, kind, lineno):
-    read, header, good = READERS[kind]
-    lines = [json.dumps(x).encode() for x in (header, {**good, "label": "g"},
-                                              good)]
-    lines[lineno - 1] = lines[lineno - 1].replace(b'"', b'"\xff', 1)
-    path = tmp_path / "bad"
-    path.write_bytes(b"\n".join(lines) + b"\n")
-    what = "header" if lineno == 1 else "line"
-    with pytest.raises(FileFormatError, match=re.escape(
-            f"{path}:{lineno}: malformed {what}: 'utf-8' codec can't decode "
-            "byte 0xff")):
-        read(path)
-
-
-# a bad vec as line 3, after one good line: (version, vec, message)
-BAD_VECS = [
-    (2, "@@", "malformed line: Only base64 data is allowed"),
-    (2, "QUI", "malformed line: Incorrect padding"),
-    (2, "AAAAAAAA", "malformed line: "),  # 6 bytes, 1.5 float32 values
-    (2, b64([0.6, 0.8, 0.0]), "vec length 3 does not match dim 2"),
-    (2, [0.6, 0.8], "malformed line: vec must be a string in a version 2 "
-                    "file"),
-    (1, b64([0.6, 0.8]), "malformed line: vec must be a list in a version "
-                         "1 file"),
-    (2, b64([float("nan")] * 2), "vector norm nan is not 1 within 1e-06"),
-]
-
-
-@pytest.mark.parametrize("kind", LINES)
-@pytest.mark.parametrize(
-    "version,vec,message", BAD_VECS,
-    ids=["bad-alphabet", "bad-padding", "6-bytes", "3-floats-at-dim-2",
-         "list-in-v2", "string-in-v1", "nan-bits"])
-def test_bad_vec_fails_with_line_number(tmp_path, kind, version, vec,
-                                        message):
-    read, header, good = READERS[kind + ("-v2" if version == 2 else "")]
-    path = tmp_path / "bad"
-    path.write_text("\n".join(json.dumps(x) for x in (
-        header, {**good, "label": "g"}, {**good, "vec": vec})) + "\n")
-    with pytest.raises(FileFormatError,
-                       match=re.escape(f"{path}:3: {message}")):
-        read(path)
-
-
-# The block reader. A fault in a later block, at READ_BLOCK = 512 bytes:
-# GOOD_BEFORE good lines ahead of it fill more than a block, and good
-# lines after it share its block.
+# The block reader. A fault at FAULT_LINE, read in 512-byte blocks, is in
+# a later block than the first: GOOD_BEFORE good lines ahead of it fill
+# more than a block, and good lines after it share its block. A fault at
+# line 2 or 3 is in the first block.
 GOOD_BEFORE = 20
 FAULT_LINE = 2 + GOOD_BEFORE
 
@@ -527,14 +440,14 @@ def small_blocks(monkeypatch):
     monkeypatch.setattr(data_io, "READ_BLOCK", 512)
 
 
-def write_with_fault(path, header, good, bad):
-    """A file of header, GOOD_BEFORE good lines, the line bad (bytes, or
-    an object to dump) and five good lines; labels g0, g1, ... and h0,
-    h1, ... keep the good lines' labels distinct."""
+def write_with_fault(path, header, good, bad, lineno=FAULT_LINE):
+    """A file whose line lineno is bad (bytes, or an object to dump): the
+    header, good lines ahead of it and five after it, labeled g0, g1, ...
+    and h0, h1, ... so that no two good lines share a label."""
     def dump(obj):
         return obj if isinstance(obj, bytes) else json.dumps(obj).encode()
     lines = ([dump(header)]
-             + [dump({**good, "label": f"g{i}"}) for i in range(GOOD_BEFORE)]
+             + [dump({**good, "label": f"g{i}"}) for i in range(lineno - 2)]
              + [dump(bad)]
              + [dump({**good, "label": f"h{i}"}) for i in range(5)])
     path.write_bytes(b"\n".join(lines) + b"\n")
@@ -550,61 +463,103 @@ def labels(registry):
             return out
 
 
-LATER_FIELD_CASES = [(kind + suffix, field, value)
-                     for suffix in ("", "-v2")
-                     for kind, field, value in BAD_FIELDS]
+# each case as line 2, as line 3 after one good line and in a later
+# block, in both versions
+BAD_FIELD_CASES = [(kind + suffix, field, value, lineno)
+                   for suffix in ("", "-v2") for lineno in (2, 3, FAULT_LINE)
+                   for kind, field, value in BAD_FIELDS]
+AT = {2: "", 3: "-after-a-good-line", FAULT_LINE: "-in-a-later-block"}
 
 
 @pytest.mark.parametrize(
-    "kind,field,value", LATER_FIELD_CASES,
-    ids=[f"{k}-{f}={v!r}" for k, f, v in LATER_FIELD_CASES])
-def test_bad_field_in_a_later_block(tmp_path, small_blocks, kind, field,
-                                    value):
+    "kind,field,value,lineno", BAD_FIELD_CASES,
+    ids=[f"{k}-{f}={v!r}" + AT[lineno]
+         for k, f, v, lineno in BAD_FIELD_CASES])
+def test_bad_field_fails_with_line_number(tmp_path, small_blocks, kind,
+                                          field, value, lineno):
     read, header, good = READERS[kind]
     path = tmp_path / "bad"
-    write_with_fault(path, header, good, {**good, field: value})
-    with pytest.raises(FileFormatError, match=re.escape(
-            f"{path}:{FAULT_LINE}: {field} must be")):
+    write_with_fault(path, header, good, {**good, field: value}, lineno)
+    with pytest.raises(FileFormatError,
+                       match=re.escape(f"{path}:{lineno}: {field} must be")):
         read(path)
 
 
-@pytest.mark.parametrize("kind,key", [
-    (kind + suffix, key) for suffix in ("", "-v2")
-    for kind, key in MISSING_KEYS])
-def test_missing_key_in_a_later_block(tmp_path, small_blocks, kind, key):
+MISSING_KEYS = [("records", "user"), ("records", "t"), ("records", "label"),
+                ("records", "vec"), ("prototypes", "label"),
+                ("prototypes", "vec")]
+MISSING_KEY_CASES = [(kind + suffix, key, lineno)
+                     for lineno in (3, FAULT_LINE) for suffix in ("", "-v2")
+                     for kind, key in MISSING_KEYS]
+
+
+@pytest.mark.parametrize(
+    "kind,key,lineno", MISSING_KEY_CASES,
+    ids=[f"{k}-{key}" + ("" if lineno == 3 else "-in-a-later-block")
+         for k, key, lineno in MISSING_KEY_CASES])
+def test_missing_key_is_a_malformed_line(tmp_path, small_blocks, kind, key,
+                                         lineno):
     read, header, good = READERS[kind]
     path = tmp_path / "bad"
     write_with_fault(path, header, good,
-                     {k: v for k, v in good.items() if k != key})
+                     {k: v for k, v in good.items() if k != key}, lineno)
     with pytest.raises(FileFormatError, match=re.escape(
-            f"{path}:{FAULT_LINE}: malformed line: missing key {key!r}")):
+            f"{path}:{lineno}: malformed line: missing key {key!r}")):
         read(path)
 
 
+# a byte that is not UTF-8 in the header, the first body line, a later one
+# or one in a later block
 @pytest.mark.parametrize("kind", READERS)
-def test_non_utf8_byte_in_a_later_block(tmp_path, small_blocks, kind):
+@pytest.mark.parametrize("lineno", [1, 2, 3, FAULT_LINE])
+def test_non_utf8_byte_is_malformed(tmp_path, small_blocks, kind, lineno):
     read, header, good = READERS[kind]
+
+    def spoil(obj):
+        return json.dumps(obj).encode().replace(b'"', b'"\xff', 1)
     path = tmp_path / "bad"
-    write_with_fault(path, header, good,
-                     json.dumps(good).encode().replace(b'"', b'"\xff', 1))
+    if lineno == 1:
+        write_with_fault(path, spoil(header), good, good, 2)
+    else:
+        write_with_fault(path, header, good, spoil(good), lineno)
+    what = "header" if lineno == 1 else "line"
     with pytest.raises(FileFormatError, match=re.escape(
-            f"{path}:{FAULT_LINE}: malformed line: 'utf-8' codec can't "
-            "decode byte 0xff")):
+            f"{path}:{lineno}: malformed {what}: 'utf-8' codec can't decode "
+            "byte 0xff")):
         read(path)
+
+
+# a bad vec: (version, vec, message)
+BAD_VECS = {
+    "bad-alphabet": (2, "@@", "malformed line: Only base64 data is allowed"),
+    "bad-padding": (2, "QUI", "malformed line: Incorrect padding"),
+    "6-bytes": (2, "AAAAAAAA", "malformed line: "),  # 1.5 float32 values
+    "3-floats-at-dim-2": (2, b64([0.6, 0.8, 0.0]),
+                          "vec length 3 does not match dim 2"),
+    "list-in-v2": (2, [0.6, 0.8], "malformed line: vec must be a string in "
+                                  "a version 2 file"),
+    "string-in-v1": (1, b64([0.6, 0.8]), "malformed line: vec must be a list "
+                                         "in a version 1 file"),
+    "nan-bits": (2, b64([float("nan")] * 2),
+                 "vector norm nan is not 1 within 1e-06"),
+}
+# each as line 3 after one good line, then in a later block
+BAD_VEC_CASES = [(*case, lineno) for lineno in (3, FAULT_LINE)
+                 for case in BAD_VECS.values()]
 
 
 @pytest.mark.parametrize("kind", LINES)
 @pytest.mark.parametrize(
-    "version,vec,message", BAD_VECS,
-    ids=["bad-alphabet", "bad-padding", "6-bytes", "3-floats-at-dim-2",
-         "list-in-v2", "string-in-v1", "nan-bits"])
-def test_bad_vec_in_a_later_block(tmp_path, small_blocks, kind, version, vec,
-                                  message):
+    "version,vec,message,lineno", BAD_VEC_CASES,
+    ids=[name + ("" if lineno == 3 else "-in-a-later-block")
+         for lineno in (3, FAULT_LINE) for name in BAD_VECS])
+def test_bad_vec_fails_with_line_number(tmp_path, small_blocks, kind,
+                                        version, vec, message, lineno):
     read, header, good = READERS[kind + ("-v2" if version == 2 else "")]
     path = tmp_path / "bad"
-    write_with_fault(path, header, good, {**good, "vec": vec})
+    write_with_fault(path, header, good, {**good, "vec": vec}, lineno)
     with pytest.raises(FileFormatError,
-                       match=re.escape(f"{path}:{FAULT_LINE}: {message}")):
+                       match=re.escape(f"{path}:{lineno}: {message}")):
         read(path)
 
 
@@ -625,27 +580,32 @@ NORM_CASES = [
 ]
 
 
+@pytest.mark.parametrize("lineno", [3, FAULT_LINE])
 @pytest.mark.parametrize("suffix", ["", "-v2"])
 @pytest.mark.parametrize("kind,renorm,vec,message", NORM_CASES)
-def test_norm_fault_in_a_later_block(tmp_path, small_blocks, suffix, kind,
-                                     renorm, vec, message):
+def test_norm_fault_fails_with_line_number(tmp_path, small_blocks, suffix,
+                                           kind, renorm, vec, message,
+                                           lineno):
     read, header, good = READERS[kind + suffix]
     header = {**header, "normalize": renorm}
     path = tmp_path / "bad"
     write_with_fault(path, header, good,
-                     {**good, "vec": b64(vec) if suffix else vec})
+                     {**good, "vec": b64(vec) if suffix else vec}, lineno)
     with pytest.raises(FileFormatError,
-                       match=re.escape(f"{path}:{FAULT_LINE}: {message}")):
+                       match=re.escape(f"{path}:{lineno}: {message}")):
         read(path)
 
 
+# the label of line 2, again in the next line and in a later block
+@pytest.mark.parametrize("lineno", [3, FAULT_LINE])
 @pytest.mark.parametrize("suffix", ["", "-v2"])
-def test_duplicate_label_in_a_later_block(tmp_path, small_blocks, suffix):
+def test_duplicate_label_fails_with_line_number(tmp_path, small_blocks,
+                                                suffix, lineno):
     read, header, good = READERS["prototypes" + suffix]
     path = tmp_path / "bad"
-    write_with_fault(path, header, good, {**good, "label": "g3"})
+    write_with_fault(path, header, good, {**good, "label": "g0"}, lineno)
     with pytest.raises(FileFormatError, match=re.escape(
-            f"{path}:{FAULT_LINE}: duplicate label 'g3'")):
+            f"{path}:{lineno}: duplicate label 'g0'")):
         read(path)
 
 
@@ -781,8 +741,10 @@ def test_block_size_does_not_change_what_is_read(tmp_path_factory, data):
     at a size between and at the default, in version 1, which is read
     line by line, and in version 2. One vector may sit at the edge of the
     unit-norm tolerance, where every reading must agree whether it
-    passes."""
+    passes. A label may hold a bracket, which sends its block to the
+    per-line code."""
     kind = data.draw(st.sampled_from(["records", "prototypes"]))
+    tag = data.draw(st.sampled_from(["c", "rice [cooked] ", "c]"]))
     dim = data.draw(st.integers(1, 300))
     n = data.draw(st.integers(0, 12))
     renorm = data.draw(st.booleans())
@@ -797,9 +759,9 @@ def test_block_size_does_not_change_what_is_read(tmp_path_factory, data):
     vecs = vecs.astype(np.float32)
     if kind == "records":
         fields = [{"user": f"u{i % 3}", "t": i // 3 + 1,
-                   "label": f"c{rng.integers(0, 5)}"} for i in range(n)]
+                   "label": f"{tag}{rng.integers(0, 5)}"} for i in range(n)]
     else:
-        fields = [{"label": f"c{i}",
+        fields = [{"label": f"{tag}{i}",
                    "count": None if i % 4 == 3 else int(rng.integers(1, 9))}
                   for i in range(n)]
     blanks = data.draw(st.lists(st.tuples(
